@@ -22,7 +22,15 @@ from .circuit.qasm import parse_qasm
 from .core.weak_sim import DD_METHODS, VECTOR_METHODS, simulate_and_sample
 from .exceptions import ReproError
 
-__all__ = ["main"]
+__all__ = ["main", "non_negative_int"]
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for counts that must be ``>= 0`` (e.g. ``--top``)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(method 'dd' only; same seed gives the same samples for any N)",
     )
     parser.add_argument(
-        "--top", type=int, default=20, help="print at most this many outcomes"
+        "--top",
+        type=non_negative_int,
+        default=20,
+        help="print at most this many outcomes (>= 0)",
     )
     parser.add_argument(
         "--json",

@@ -9,13 +9,41 @@ returns after repeated runs — the object weak simulation mimics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import SamplingError
 
-__all__ = ["SampleResult"]
+__all__ = ["SampleResult", "bitstrings"]
+
+#: Outcome indexes are split into 64-bit words for the bit matrix.
+_WORD_MASK = (1 << 64) - 1
+
+
+def _index_words(counts: Dict[int, int], width: int) -> np.ndarray:
+    """The keys of ``counts`` as a uint64 matrix, most significant word first."""
+    words = max(1, -(-width // 64))
+    if words == 1:
+        keys = np.fromiter(counts, dtype=np.uint64, count=len(counts))
+        return keys.reshape(-1, 1)
+    wide = np.array(list(counts), dtype=object)
+    return np.stack(
+        [
+            ((wide >> (64 * word)) & _WORD_MASK).astype(np.uint64)
+            for word in range(words - 1, -1, -1)
+        ],
+        axis=1,
+    )
+
+
+def bitstrings(bits: np.ndarray) -> List[str]:
+    """The rows of a ``(k, width)`` 0/1 bit matrix as bitstrings, MSB first."""
+    rows, width = bits.shape
+    text = np.empty((rows, width + 1), dtype=np.uint8)
+    np.add(bits, ord("0"), out=text[:, :width])
+    text[:, width] = ord("\n")
+    return text.tobytes().decode("ascii").splitlines()
 
 
 @dataclass
@@ -49,7 +77,7 @@ class SampleResult:
         if array.size and (array.min() < 0 or array.max() >= 2**num_qubits):
             raise SamplingError("sample index outside the basis-state range")
         values, frequencies = np.unique(array, return_counts=True)
-        counts = {int(v): int(f) for v, f in zip(values, frequencies)}
+        counts = dict(zip(values.tolist(), frequencies.tolist()))
         return cls(
             num_qubits=num_qubits,
             counts=counts,
@@ -84,16 +112,37 @@ class SampleResult:
             raise SamplingError("no samples recorded")
         return self.counts.get(index, 0) / shots
 
+    def count_table(
+        self, limit: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The counts as arrays: ``(bits, frequencies)``.
+
+        ``bits`` is the ``(k, num_qubits)`` uint8 matrix of outcome bits,
+        ``q_{n-1}`` first; ``frequencies`` the int64 counts.  Rows follow
+        the order of :attr:`counts`, or with ``limit`` the ``limit`` most
+        frequent outcomes, by descending count then ascending index.
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
+        words = _index_words(self.counts, self.num_qubits)
+        frequencies = np.fromiter(
+            self.counts.values(), dtype=np.int64, count=len(self.counts)
+        )
+        if limit is not None:
+            order = np.lexsort(tuple(words[:, ::-1].T) + (-frequencies,))[:limit]
+            words, frequencies = words[order], frequencies[order]
+        bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)
+        return bits[:, bits.shape[1] - self.num_qubits :], frequencies
+
     def bitstring_counts(self) -> Dict[str, int]:
         """Counts keyed by bitstrings ``q_{n-1} ... q_0``."""
-        width = self.num_qubits
-        return {format(k, f"0{width}b"): v for k, v in self.counts.items()}
+        bits, frequencies = self.count_table()
+        return dict(zip(bitstrings(bits), frequencies.tolist()))
 
     def most_common(self, limit: int = 10) -> List[Tuple[str, int]]:
         """The ``limit`` most frequent outcomes as (bitstring, count)."""
-        ranked = sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))
-        width = self.num_qubits
-        return [(format(k, f"0{width}b"), v) for k, v in ranked[:limit]]
+        bits, frequencies = self.count_table(limit)
+        return list(zip(bitstrings(bits), frequencies.tolist()))
 
     # ------------------------------------------------------------------
     # Derived distributions

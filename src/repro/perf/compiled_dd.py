@@ -60,7 +60,9 @@ class CompiledDD:
     ``p0[i]``; ``child0[i]``/``child1[i]`` are the successors' compact
     ids (0 — never dereferenced — for zero or terminal children, which
     either carry probability 0 or end the walk).  ``levels[v]`` lists the
-    compact ids of the nodes splitting qubit ``v``.
+    compact ids of the nodes splitting qubit ``v``.  ``children`` is the
+    sampler's derived walk table, ``children[2*i + b] = child_b[i]``; it
+    is rebuilt on construction and never serialised.
     """
 
     __slots__ = (
@@ -69,6 +71,7 @@ class CompiledDD:
         "p0",
         "child0",
         "child1",
+        "children",
         "id_of",
         "levels",
     )
@@ -88,6 +91,10 @@ class CompiledDD:
         self.p0 = p0
         self.child0 = child0
         self.child1 = child1
+        children = np.empty(2 * child0.size, dtype=np.int64)
+        children[0::2] = child0
+        children[1::2] = child1
+        self.children = children
         self.id_of = id_of
         self.levels = levels
 
@@ -213,6 +220,15 @@ class CompiledDD:
 
         The walk stops after ``num_qubits`` levels; results are
         right-aligned (bit ``j`` is register qubit ``n - num_qubits + j``).
+
+        Every level draws ``rng.random(shots)`` once and takes branch 1
+        where the draw is ``>= p0`` of the walker's node, so the samples
+        and the generator's state afterwards depend only on the seed.
+        Walkers advance with one gather from the interleaved table,
+        ``current = children[2*current + bit]``.  Every path visits
+        every level, so on a level holding a single node all walkers
+        stand on it: its ``p0`` is a scalar and no positions are
+        gathered until a level with several nodes comes next.
         """
         if not 0 < num_qubits <= self.num_qubits:
             raise SamplingError(
@@ -224,12 +240,30 @@ class CompiledDD:
                 f"top-qubit sampling packs into int64: max {_PACKED_QUBIT_CAP}"
             )
         shift = self.num_qubits - num_qubits
+        p0, children, levels = self.p0, self.children, self.levels
+        draws = np.empty(shots, dtype=np.float64)
+        ones = np.empty(shots, dtype=np.bool_)
+        slots = np.empty(shots, dtype=np.int64)
         current = np.full(shots, self.root, dtype=np.int64)
         indices = np.zeros(shots, dtype=np.int64)
         for var in range(self.num_qubits - 1, shift - 1, -1):
-            ones = rng.random(shots) >= self.p0[current]
-            indices |= ones.astype(np.int64) << (var - shift)
-            current = np.where(ones, self.child1[current], self.child0[current])
+            rng.random(out=draws)
+            ids = levels[var]
+            single = ids.size == 1
+            if single:
+                np.greater_equal(draws, p0[ids[0]], out=ones)
+            else:
+                np.greater_equal(draws, p0.take(current), out=ones)
+            np.left_shift(indices, 1, out=indices)
+            np.bitwise_or(indices, ones, out=indices)
+            if var > shift and levels[var - 1].size != 1:
+                if single:
+                    np.add(ones, 2 * ids[0], out=slots)
+                else:
+                    np.left_shift(current, 1, out=slots)
+                    np.bitwise_or(slots, ones, out=slots)
+                # A fresh gather: take() into an ``out`` buffer is slower.
+                current = children.take(slots)
         return indices
 
     # ------------------------------------------------------------------

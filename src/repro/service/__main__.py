@@ -45,6 +45,7 @@ import tempfile
 from typing import Any, Dict, List, Optional, TextIO
 
 from ..circuit.circuit import QuantumCircuit
+from ..cli import non_negative_int
 from ..exceptions import ReproError
 from .api import SamplingRequest, SamplingResponse, SamplingService
 
@@ -171,12 +172,16 @@ def run_batch(
 ) -> int:
     """Stream JSONL requests through ``service``; returns the error count.
 
-    Responses are written in input order.  Lines that fail to parse or
+    Responses are written in input order, each encoded by
+    :meth:`SamplingResponse.to_json_bytes`.  Lines that fail to parse or
     resolve become ``rejected`` response records instead of killing the
     batch; the return value counts every non-``ok`` response.
     ``default_kernel`` is the build engine for requests that do not set
-    their own ``kernel`` field.
+    their own ``kernel`` field.  A negative ``top`` raises
+    :class:`ValueError` before any request is read.
     """
+    if top is not None and top < 0:
+        raise ValueError(f"top must be non-negative, got {top}")
     slots: List[Optional[SamplingResponse]] = []
     futures = []
     for line_number, line in enumerate(source, start=1):
@@ -207,7 +212,7 @@ def run_batch(
         assert response is not None
         if not response.ok:
             failures += 1
-        sink.write(json.dumps(response.to_dict(top=top)) + "\n")
+        sink.write(response.to_json_bytes(top=top).decode("ascii"))
     sink.flush()
     return failures
 
@@ -267,10 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--top",
-        type=int,
+        type=non_negative_int,
         default=None,
         metavar="N",
-        help="emit only the N most frequent outcomes per response",
+        help="emit only the N most frequent outcomes per response (N >= 0)",
     )
     parser.add_argument(
         "--stats",

@@ -31,6 +31,7 @@ that strong simulation was skipped); counters land under ``service.*``
 from __future__ import annotations
 
 import collections
+import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
@@ -41,7 +42,7 @@ import numpy as np
 
 from .. import telemetry as _telemetry
 from ..circuit.circuit import QuantumCircuit
-from ..core.results import SampleResult
+from ..core.results import SampleResult, bitstrings
 from ..core.shot_executor import ShotExecutor, circuit_has_mid_circuit_measurement
 from ..core.weak_sim import (
     DD_METHODS,
@@ -68,6 +69,40 @@ __all__ = ["SamplingRequest", "SamplingResponse", "SamplingService"]
 
 #: Default number of CompiledDD artifacts pinned in process memory.
 DEFAULT_HOT_ENTRIES = 8
+
+
+class _JsonText(bytes):
+    """Already-encoded JSON, spliced into a record verbatim."""
+
+
+def _counts_json(bits: np.ndarray, frequencies: np.ndarray) -> bytes:
+    """``json.dumps`` of ``{bitstring: count}``, written with array operations.
+
+    Each row of the table is ``"<bits>": <digits>, ``, with the count's
+    decimal digits right-aligned in a fixed-width column; masking out
+    each count's leading zeros and flattening the table row by row
+    yields the object's text in row order.  Counts are non-negative.
+    """
+    rows, width = bits.shape
+    if rows == 0:
+        return b"{}"
+    digits = len(str(int(frequencies.max())))
+    start = width + 4
+    table = np.empty((rows, start + digits + 2), dtype=np.uint8)
+    punctuation = zip((0, width + 1, width + 2, width + 3, -2, -1), b'"": , ')
+    for column, char in punctuation:
+        table[:, column] = char
+    np.add(bits, ord("0"), out=table[:, 1 : width + 1])
+    rest = frequencies
+    for column in range(start + digits - 1, start - 1, -1):
+        rest, digit = np.divmod(rest, 10)
+        np.add(digit, ord("0"), out=table[:, column], casting="unsafe")
+    if digits > 1:
+        keep = np.ones(table.shape, dtype=np.bool_)
+        for offset in range(digits - 1):
+            keep[:, start + offset] = frequencies >= 10 ** (digits - 1 - offset)
+        table = table[keep]
+    return b"{" + table.tobytes()[:-2] + b"}"
 
 
 @dataclass(frozen=True)
@@ -178,8 +213,47 @@ class SamplingResponse:
         """The JSONL response record (schema in ``docs/serving.md``).
 
         ``top`` caps the emitted counts at the most frequent ``top``
-        outcomes (full counts by default).
+        outcomes (full counts by default); a negative ``top`` raises
+        :class:`ValueError`.
         """
+        return self._record(
+            top,
+            lambda bits, frequencies: dict(
+                zip(bitstrings(bits), frequencies.tolist())
+            ),
+        )
+
+    def to_json_bytes(
+        self, top: Optional[int] = None, extra: Optional[Dict[str, Any]] = None
+    ) -> bytes:
+        """The response as one encoded JSONL line, ready for the wire.
+
+        Byte for byte ``(json.dumps(record) + "\\n").encode()`` where
+        ``record`` is ``to_dict(top)`` updated with ``extra`` — same key
+        order, same rank order under ``top``, every status.  The counts
+        object is written straight from the count arrays, so no dict of
+        bitstrings is built.  A negative ``top`` raises :class:`ValueError`.
+        """
+        record = self._record(
+            top,
+            lambda bits, frequencies: _JsonText(
+                _counts_json(bits, frequencies)
+            ),
+        )
+        if extra:
+            record.update(extra)
+        parts = [
+            json.dumps(name).encode() + b": " + value
+            if isinstance(value, _JsonText)
+            else json.dumps({name: value})[1:-1].encode()
+            for name, value in record.items()
+        ]
+        return b"{" + b", ".join(parts) + b"}\n"
+
+    def _record(self, top: Optional[int], encode_counts) -> Dict[str, Any]:
+        """The record; counts are ``encode_counts(bits, frequencies)``."""
+        if top is not None and top < 0:
+            raise ValueError(f"top must be non-negative, got {top}")
         record: Dict[str, Any] = {
             "request_id": self.request_id,
             "status": self.status,
@@ -201,13 +275,13 @@ class SamplingResponse:
             record["num_qubits"] = self.result.num_qubits
             record["shots"] = self.result.shots
             record["method"] = self.result.method
-            counts = self.result.bitstring_counts()
-            if top is not None and len(counts) > top:
-                ranked = self.result.most_common(top)
-                record["counts"] = dict(ranked)
-                record["counts_truncated"] = len(counts) - top
-            else:
-                record["counts"] = counts
+            distinct = self.result.distinct_outcomes
+            truncated = top is not None and distinct > top
+            record["counts"] = encode_counts(
+                *self.result.count_table(top if truncated else None)
+            )
+            if truncated:
+                record["counts_truncated"] = distinct - top
         return record
 
 

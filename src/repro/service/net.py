@@ -17,11 +17,14 @@ Endpoints:
     (plus ``"worker"``), with the HTTP status mapped from the service
     status — 200 ``ok``, 400 ``rejected``, 500 ``error``, and 503 +
     ``Retry-After`` for ``deadline_exceeded`` (the build keeps running;
-    a retry hits the cache).
+    a retry hits the cache).  The worker encodes the body once
+    (:class:`~repro.service.pool.PoolReply`); the front door writes it
+    unchanged.
 ``POST /v1/batch``
     Body: many records, one per line.  Answer: JSONL, input order, one
-    record per line; per-line failures (parse errors, shed shards)
-    become per-line records, the batch itself is always 200.
+    record per line (the workers' bodies joined); per-line failures
+    (parse errors, shed shards) become per-line records, the batch
+    itself is always 200.
 ``GET /healthz``
     Liveness: 200 with worker counts, 503 once draining.
 ``GET /stats``
@@ -53,7 +56,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry as _telemetry
 from ..exceptions import ReproError
-from .pool import PoolClosedError, PoolSaturatedError, WorkerPool
+from .pool import (
+    DEADLINE_RETRY_AFTER,
+    PoolClosedError,
+    PoolReply,
+    PoolSaturatedError,
+    WorkerPool,
+)
 
 __all__ = [
     "HttpFrontDoor",
@@ -171,6 +180,15 @@ def _response_bytes(
 
 def _json_body(payload: Dict[str, Any]) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+#: A routed answer: HTTP status, encoded body, ``Retry-After`` hint.
+_Answer = Tuple[int, bytes, Optional[float]]
+
+
+def _answer(status: int, payload: Dict[str, Any]) -> _Answer:
+    """A JSON answer built in the front door (no counts in it)."""
+    return status, _json_body(payload), payload.get("retry_after")
 
 
 class HttpFrontDoor:
@@ -291,19 +309,22 @@ class HttpFrontDoor:
                 self._inflight += 1
                 self._idle.clear()
                 try:
-                    status, payload = await self._dispatch(method, path, body)
+                    status, answer, retry_after = await self._dispatch(
+                        method, path, body
+                    )
                 finally:
                     self._inflight -= 1
                     if self._inflight == 0:
                         self._idle.set()
                 extra = {}
                 if status in (429, 503):
-                    extra["Retry-After"] = str(payload.get("retry_after", 1))
-                raw = payload.pop("__raw__", None)
+                    extra["Retry-After"] = str(
+                        1 if retry_after is None else retry_after
+                    )
                 writer.write(
                     _response_bytes(
                         status,
-                        raw if raw is not None else _json_body(payload),
+                        answer,
                         extra_headers=extra,
                         keep_alive=keep_alive,
                     )
@@ -343,26 +364,27 @@ class HttpFrontDoor:
 
     async def _dispatch(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> _Answer:
         self.stats["http_requests"] += 1
         with _telemetry.span("service.http", method=method, path=path) as span:
             try:
-                status, payload = await self._route(method, path, body)
+                answer = await self._route(method, path, body)
             except PoolClosedError as error:
                 # e.g. a drain-orphaned or dead-worker future surfacing
                 # at an await the route handler did not wrap.
-                status, payload = 503, {
+                answer = _answer(503, {
                     "status": "unavailable",
                     "error": str(error),
                     "retry_after": 5,
-                }
+                })
             except Exception as error:
                 # A handler bug answers 500 — never a silently dropped
                 # connection that skews http_requests vs status buckets.
-                status, payload = 500, {
+                answer = _answer(500, {
                     "status": "error",
                     "error": f"{type(error).__name__}: {error}",
-                }
+                })
+            status = answer[0]
             span.set_attr("status", status)
         bucket = (
             "http_ok"
@@ -380,50 +402,52 @@ class HttpFrontDoor:
         if session is not None:
             session.registry.counter("service.http.requests").inc()
             session.registry.counter(f"service.http.status.{status}").inc()
-        return status, payload
+        return answer
 
-    async def _route(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
+    async def _route(self, method: str, path: str, body: bytes) -> _Answer:
         path = path.split("?", 1)[0]
         if self._draining and path not in ("/healthz", "/stats"):
-            return 503, {
+            return _answer(503, {
                 "status": "unavailable",
                 "error": "server is draining",
                 "retry_after": 5,
-            }
+            })
         if path == "/healthz":
             if method != "GET":
-                return 405, {"error": "healthz is GET-only"}
+                return _answer(405, {"error": "healthz is GET-only"})
             draining = self._draining
-            return (503 if draining else 200), {
+            return _answer(503 if draining else 200, {
                 "status": "draining" if draining else "ok",
                 "workers": self.pool.num_workers,
                 "workers_alive": self.pool.workers_alive(),
-            }
+            })
         if path == "/stats":
             if method != "GET":
-                return 405, {"error": "stats is GET-only"}
+                return _answer(405, {"error": "stats is GET-only"})
             loop = asyncio.get_running_loop()
             # Default executor, not the router pool: stats collection
             # blocks on worker round-trips and must not starve sample
             # routing of its two threads.
             pool_stats = await loop.run_in_executor(None, self.pool.stats)
-            return 200, {"pool": pool_stats, "http": dict(self.stats)}
+            return _answer(200, {"pool": pool_stats, "http": dict(self.stats)})
         if path == "/v1/sample":
             if method != "POST":
-                return 405, {"error": "sample is POST-only"}
+                return _answer(405, {"error": "sample is POST-only"})
             return await self._sample(body)
         if path == "/v1/batch":
             if method != "POST":
-                return 405, {"error": "batch is POST-only"}
+                return _answer(405, {"error": "batch is POST-only"})
             return await self._batch(body)
-        return 404, {"error": f"no route for {path!r}"}
+        return _answer(404, {"error": f"no route for {path!r}"})
 
     async def _submit(
         self, record: Dict[str, Any]
-    ) -> "asyncio.Future[Dict[str, Any]]":
-        """Route one record on the router thread pool; await-able result."""
+    ) -> "asyncio.Future[PoolReply]":
+        """Route one record on the router thread pool; await-able result.
+
+        Raises :class:`ValueError` for a ``top`` that is not a
+        non-negative integer (the callers answer ``rejected``).
+        """
         top = record.get("top", self.top)
         top = None if top is None else int(top)
         loop = asyncio.get_running_loop()
@@ -450,104 +474,107 @@ class HttpFrontDoor:
 
     async def _await_reply(
         self,
-        pending: "asyncio.Future[Dict[str, Any]]",
+        pending: "asyncio.Future[PoolReply]",
         record: Dict[str, Any],
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Await a worker reply, bounded; (HTTP status, response record)."""
+    ) -> _Answer:
+        """Await a worker reply, bounded; the worker's body passes through.
+
+        A ``deadline_exceeded`` body already carries ``retry_after``
+        (:data:`~repro.service.pool.DEADLINE_RETRY_AFTER`), and the
+        ``Retry-After`` header repeats it.
+        """
         timeout = self._reply_timeout(record)
         try:
-            response = await asyncio.wait_for(pending, timeout=timeout)
+            reply = await asyncio.wait_for(pending, timeout=timeout)
         except PoolClosedError as error:
             # The worker died with the request pending, or the pool
             # drained out from under it — retryable, not the client's
             # fault.
-            return 503, {
+            return _answer(503, {
                 "status": "unavailable",
                 "error": str(error),
                 "retry_after": 5,
-            }
+            })
         except asyncio.TimeoutError:
-            return 503, {
+            return _answer(503, {
                 "status": "unavailable",
                 "error": f"no worker reply within {timeout:.0f}s",
                 "retry_after": 5,
-            }
-        status = _STATUS_CODES.get(response.get("status"), 500)
-        if status == 503:
-            response.setdefault("retry_after", 2)
-        return status, response
+            })
+        status = _STATUS_CODES.get(reply.status, 500)
+        retry_after = DEADLINE_RETRY_AFTER if status == 503 else None
+        return status, reply.body, retry_after
 
-    async def _sample(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    async def _sample(self, body: bytes) -> _Answer:
         try:
             record = json.loads(body.decode("utf-8"))
             if not isinstance(record, dict):
                 raise ValueError("request body must be a JSON object")
         except (ValueError, UnicodeDecodeError) as error:
-            return 400, {"status": "rejected", "error": str(error)}
+            return _answer(400, {"status": "rejected", "error": str(error)})
         try:
             pending = await self._submit(record)
         except PoolSaturatedError as error:
-            return 429, {
+            return _answer(429, {
                 "status": "shed",
                 "error": str(error),
                 "retry_after": error.retry_after,
-            }
+            })
         except PoolClosedError as error:
-            return 503, {
+            return _answer(503, {
                 "status": "unavailable",
                 "error": str(error),
                 "retry_after": 5,
-            }
+            })
         except (ReproError, ValueError, TypeError, OSError) as error:
             # OSError: an allow-listed qasm_file that is missing or
             # unreadable — same 400 contract as any unresolvable spec.
-            return 400, {"status": "rejected", "error": str(error)}
+            return _answer(400, {"status": "rejected", "error": str(error)})
         return await self._await_reply(pending, record)
 
-    async def _batch(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    async def _batch(self, body: bytes) -> _Answer:
         try:
             lines = body.decode("utf-8").splitlines()
         except UnicodeDecodeError as error:
-            return 400, {"status": "rejected", "error": str(error)}
-        slots: List[Optional[Dict[str, Any]]] = []
+            return _answer(400, {"status": "rejected", "error": str(error)})
+        slots: List[bytes] = []
         pending: List[
-            Tuple[int, Dict[str, Any], "asyncio.Future[Dict[str, Any]]"]
+            Tuple[int, Dict[str, Any], "asyncio.Future[PoolReply]"]
         ] = []
         for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
             slot = len(slots)
-            slots.append(None)
+            slots.append(b"")
             try:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError("request line must be a JSON object")
                 pending.append((slot, record, await self._submit(record)))
             except PoolSaturatedError as error:
-                slots[slot] = {
+                slots[slot] = _json_body({
                     "status": "shed",
                     "error": f"line {number}: {error}",
                     "retry_after": error.retry_after,
-                }
+                })
             except PoolClosedError as error:
-                slots[slot] = {
+                slots[slot] = _json_body({
                     "status": "unavailable",
                     "error": f"line {number}: {error}",
-                }
+                })
             except (ReproError, ValueError, TypeError, OSError) as error:
-                slots[slot] = {
+                slots[slot] = _json_body({
                     "status": "rejected",
                     "error": f"line {number}: {error}",
-                }
+                })
         for slot, record, future in pending:
             # Per-line failures stay per-line records — the batch
             # itself is always 200, even for a dead-worker reply.
-            _status, slots[slot] = await self._await_reply(future, record)
-        raw = "".join(
-            json.dumps(record) + "\n" for record in slots if record is not None
-        ).encode("utf-8")
-        return 200, {"__raw__": raw}
+            _status, slots[slot], _retry = await self._await_reply(
+                future, record
+            )
+        return 200, b"".join(slots), None
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,11 @@ is only a last resort for a worker that ignores its sentinel.
 Tasks cross the process boundary as plain JSONL-schema dicts (the same
 records ``python -m repro.service`` reads), never as pickled circuit
 objects: the worker re-resolves the circuit itself, so the dispatcher
-and worker cannot disagree about what was requested.
+and worker cannot disagree about what was requested.  Answers come back
+as a :class:`PoolReply`: the status and cache tier the dispatcher needs
+for routing and accounting, plus the response line already encoded by
+:meth:`~repro.service.api.SamplingResponse.to_json_bytes` — the parent
+process never decodes or re-encodes a counts table.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import signal
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .. import telemetry as _telemetry
 from ..exceptions import ReproError, SamplingError
@@ -58,14 +62,21 @@ from .store import DEFAULT_MAX_BYTES
 __all__ = [
     "PoolConfig",
     "PoolClosedError",
+    "PoolReply",
     "PoolSaturatedError",
     "WorkerPool",
+    "DEADLINE_RETRY_AFTER",
     "DEFAULT_MAX_QUEUE_DEPTH",
 ]
 
 #: Outstanding requests a single worker may have before the dispatcher
 #: sheds new arrivals for its shard (HTTP 429 at the front door).
 DEFAULT_MAX_QUEUE_DEPTH = 32
+
+#: Seconds a ``deadline_exceeded`` answer asks the client to wait before
+#: retrying (its ``retry_after`` field; the build keeps running, so the
+#: retry hits the cache).
+DEADLINE_RETRY_AFTER = 2
 
 #: How many resolved routing keys the dispatcher memoises (spec → key).
 _ROUTING_CACHE_ENTRIES = 1024
@@ -112,6 +123,22 @@ class PoolSaturatedError(SamplingError):
 
 class PoolClosedError(SamplingError):
     """The pool is draining or closed; no new work is admitted."""
+
+
+class PoolReply(NamedTuple):
+    """A worker's answer to one request record.
+
+    ``body`` is the whole response line, ``(json.dumps(record) +
+    "\\n").encode()`` for the JSONL response record plus ``"worker"``
+    (and ``"retry_after"`` on a ``deadline_exceeded`` answer); ``status``
+    and ``cache`` repeat the record's fields so the dispatcher can map
+    and count the answer without decoding the body.
+    """
+
+    status: str
+    cache: Optional[str]
+    worker: int
+    body: bytes
 
 
 class PoolConfig:
@@ -166,7 +193,7 @@ def _worker_main(
     task_queue: "multiprocessing.Queue",
     result_queue: "multiprocessing.Queue",
 ) -> None:
-    """A worker process: one SamplingService, tasks in, records out."""
+    """A worker process: one SamplingService, tasks in, replies out."""
     # The parent owns Ctrl-C; workers drain via their queue sentinel.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from .api import SamplingService
@@ -181,16 +208,30 @@ def _worker_main(
         hot_entries=config.hot_entries,
     )
 
+    def extra(status: str) -> Dict[str, Any]:
+        if status == "deadline_exceeded":
+            return {"worker": index, "retry_after": DEADLINE_RETRY_AFTER}
+        return {"worker": index}
+
+    def reply(
+        task_id: int, status: str, cache: Optional[str], body: bytes
+    ) -> None:
+        result_queue.put((index, task_id, PoolReply(status, cache, index, body)))
+
     def emit(task_id: int, record: Dict[str, Any]) -> None:
-        record["worker"] = index
-        result_queue.put((index, task_id, record))
+        """Answer with a small record built here (it holds no counts)."""
+        record.update(extra(record["status"]))
+        body = (json.dumps(record) + "\n").encode()
+        reply(task_id, record["status"], None, body)
 
     def finish(task_id: int, top: Optional[int], future: Future) -> None:
         try:
             response = future.result()
-            emit(task_id, response.to_dict(top=top))
+            body = response.to_json_bytes(top=top, extra=extra(response.status))
         except Exception as error:  # pragma: no cover - defensive
             emit(task_id, {"status": "error", "error": str(error)})
+            return
+        reply(task_id, response.status, response.cache, body)
 
     try:
         while True:
@@ -199,7 +240,7 @@ def _worker_main(
             if kind == "stop":
                 break
             if kind == "stats":
-                emit(item[1], {"stats": service.stats()})
+                result_queue.put((index, item[1], {"stats": service.stats()}))
                 continue
             _, task_id, record, top = item
             try:
@@ -246,9 +287,10 @@ class WorkerPool:
     """Consistent-hash-sharded pool of sampling-service processes.
 
     Usable as a context manager.  ``submit_record`` is thread-safe and
-    returns a :class:`concurrent.futures.Future` resolving to the
-    response record dict (JSONL schema plus a ``"worker"`` field) — the
-    asyncio front door awaits it via ``asyncio.wrap_future``.
+    returns a :class:`concurrent.futures.Future` resolving to a
+    :class:`PoolReply` whose ``body`` is the encoded response line
+    (JSONL schema plus a ``"worker"`` field) — the asyncio front door
+    awaits it via ``asyncio.wrap_future`` and writes the body as is.
     """
 
     def __init__(
@@ -394,19 +436,23 @@ class WorkerPool:
 
     def submit_record(
         self, record: Dict[str, Any], top: Optional[int] = None
-    ) -> "Future[Dict[str, Any]]":
+    ) -> "Future[PoolReply]":
         """Route one JSONL-schema request record to its shard's worker.
 
-        Raises :class:`PoolClosedError` when draining/closed,
+        The future resolves to the worker's :class:`PoolReply`.  Raises
+        :class:`PoolClosedError` when draining/closed,
         :class:`PoolSaturatedError` when the shard's worker is at its
-        dispatch-window limit, and
-        :class:`~repro.exceptions.ReproError` when the circuit spec
-        cannot be resolved (the caller answers 400, not a worker).
+        dispatch-window limit, :class:`ValueError` for a negative
+        ``top``, and :class:`~repro.exceptions.ReproError` when the
+        circuit spec cannot be resolved (the caller answers 400, not a
+        worker).
         """
         if not self._started:
             raise ReproError("pool is not started")
         if self._draining or self._closed:
             raise PoolClosedError("worker pool is draining")
+        if top is not None and top < 0:
+            raise ValueError(f"top must be non-negative, got {top}")
         try:
             key = self.routing_key(record)
         except (ReproError, OSError):
@@ -418,7 +464,7 @@ class WorkerPool:
         process = self._processes[index]
         if not process.is_alive():
             raise PoolClosedError(f"worker {index} is not running")
-        future: "Future[Dict[str, Any]]" = Future()
+        future: "Future[PoolReply]" = Future()
         with self._lock:
             # Re-checked under the lock: drain() flips the flag under the
             # same lock, so a pending entry is either registered before
@@ -487,7 +533,8 @@ class WorkerPool:
                         0, self._outstanding[index] - 1
                     )
                     self._stats["completed"] += 1
-            self._record_shard(payload)
+            if isinstance(payload, PoolReply):
+                self._record_shard(payload.cache)
             self._set_depth_gauge(index)
             if entry is not None:
                 try:
@@ -556,8 +603,7 @@ class WorkerPool:
         if entries:
             self._set_depth_gauge(index)
 
-    def _record_shard(self, payload: Dict[str, Any]) -> None:
-        cache = payload.get("cache")
+    def _record_shard(self, cache: Optional[str]) -> None:
         counter = {
             "memory": "shard_memory_hits",
             "disk": "shard_disk_hits",

@@ -151,3 +151,168 @@ class TestCompiledSamplingEquivalence:
         a = np.bincount(fast, minlength=16) / 40_000
         b = np.bincount(slow, minlength=16) / 4_000
         assert np.abs(a - b).max() < 0.03
+
+
+# ---------------------------------------------------------------------------
+# The fused walk against the original three-line walk
+# ---------------------------------------------------------------------------
+
+
+def _oracle_walk(compiled, num_qubits, shots, rng):
+    """The original sampler walk, kept here as the bit-identity reference."""
+    shift = compiled.num_qubits - num_qubits
+    current = np.full(shots, compiled.root, dtype=np.int64)
+    indices = np.zeros(shots, dtype=np.int64)
+    for var in range(compiled.num_qubits - 1, shift - 1, -1):
+        ones = rng.random(shots) >= compiled.p0[current]
+        indices |= ones.astype(np.int64) << (var - shift)
+        current = np.where(ones, compiled.child1[current], compiled.child0[current])
+    return indices
+
+
+def _assert_walk_matches_oracle(compiled, shots, seed, num_qubits=None):
+    """Same samples and the same generator state afterwards."""
+    width = compiled.num_qubits if num_qubits is None else num_qubits
+    fused_rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    if width == compiled.num_qubits:
+        fused = compiled.sample(shots, fused_rng)
+    else:
+        fused = compiled.sample_top(width, shots, fused_rng)
+    expected = _oracle_walk(compiled, width, shots, oracle_rng)
+    assert fused.dtype == expected.dtype == np.int64
+    assert np.array_equal(fused, expected)
+    assert fused_rng.random() == oracle_rng.random()
+
+
+def _compiled(circuit, initial_state=0, **simulator_kwargs):
+    simulator = DDSimulator(**simulator_kwargs)
+    state = simulator.run(circuit, initial_state=initial_state)
+    return compile_edge(state.edge, state.num_qubits), simulator
+
+
+def _clifford_t(num_qubits, seed):
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(6 * num_qubits):
+        kind = int(rng.integers(6))
+        qubit = int(rng.integers(num_qubits))
+        if kind == 0:
+            circuit.h(qubit)
+        elif kind == 1:
+            circuit.s(qubit)
+        elif kind == 2:
+            circuit.t(qubit)
+        elif kind == 3:
+            circuit.x(qubit)
+        else:
+            other = int(rng.integers(num_qubits - 1))
+            circuit.cx(qubit, other + (other >= qubit))
+    return circuit
+
+
+def _serve_hot_circuits():
+    """The six circuits of the perfbench ``serve_hot`` workload."""
+    from repro.algorithms import grover, qft, supremacy
+    from repro.algorithms.states import ghz, w_state
+
+    return [
+        ("qft_16", qft(16)),
+        ("supremacy_4x4_5", supremacy(4, 4, 5, seed=3)),
+        ("qft_12", qft(12)),
+        ("grover_8", grover(8, marked=0b10110101).circuit),
+        ("ghz_20", ghz(20)),
+        ("w_16", w_state(16)),
+    ]
+
+
+class TestFusedWalkMatchesOracle:
+    @pytest.mark.parametrize("index", range(6))
+    def test_serve_hot_circuits(self, index):
+        name, circuit = _serve_hot_circuits()[index]
+        compiled, _ = _compiled(circuit)
+        _assert_walk_matches_oracle(compiled, 20_000, seed=index)
+
+    @pytest.mark.parametrize("num_qubits", range(3, 13))
+    def test_random_clifford_t_on_basis_inputs(self, num_qubits):
+        for trial in range(3):
+            seed = 100 * num_qubits + trial
+            basis = int(np.random.default_rng(seed).integers(2**num_qubits))
+            compiled, _ = _compiled(
+                _clifford_t(num_qubits, seed), initial_state=basis
+            )
+            _assert_walk_matches_oracle(compiled, 3_000, seed)
+
+    def test_edge_shot_counts(self):
+        compiled, _ = _compiled(_clifford_t(5, 3))
+        for shots in (0, 1, 2):
+            _assert_walk_matches_oracle(compiled, shots, seed=shots)
+
+    def test_sample_top_below_register_width(self):
+        compiled, _ = _compiled(_clifford_t(8, 4))
+        for width in range(1, 8):
+            _assert_walk_matches_oracle(compiled, 4_000, seed=width, num_qubits=width)
+
+    def test_reordered_level_space_artifact(self):
+        from repro.dd.reorder import ReorderConfig, is_identity_permutation
+
+        rng = np.random.default_rng(7)
+        circuit = QuantumCircuit(8)
+        for _ in range(2):
+            for qubit in range(8):
+                circuit.u3(*(float(v) for v in rng.uniform(0, 2 * np.pi, 3)), qubit)
+            for low in range(4):
+                circuit.cx(low, low + 4)
+        compiled, simulator = _compiled(
+            circuit, reorder=ReorderConfig(enabled=True)
+        )
+        assert not is_identity_permutation(simulator.stats.level_to_qubit)
+        _assert_walk_matches_oracle(compiled, 5_000, seed=8)
+
+    def test_noisy_artifact(self):
+        from repro.algorithms.states import ghz
+        from repro.noise import NoiseModel
+        from repro.simulators.density_simulator import (
+            DensityMatrixSimulator,
+            compile_noisy_sampler,
+        )
+
+        noise = NoiseModel(
+            depolarizing=0.03, amplitude_damping=0.02, readout_p01=0.02
+        )
+        rho = DensityMatrixSimulator(noise=noise).run(ghz(5))
+        compiled = compile_noisy_sampler(rho, noise)
+        _assert_walk_matches_oracle(compiled, 5_000, seed=9)
+
+    def test_artifact_restored_from_arrays(self):
+        from repro.perf.compiled_dd import CompiledDD
+
+        compiled, _ = _compiled(_clifford_t(10, 5), initial_state=37)
+        restored = CompiledDD.from_arrays(compiled.to_arrays())
+        assert np.array_equal(restored.children, compiled.children)
+        _assert_walk_matches_oracle(restored, 5_000, seed=10)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_sample_chunked(self, workers):
+        from repro.perf.parallel import sample_chunked
+
+        compiled, _ = _compiled(_clifford_t(9, 6), initial_state=5)
+        fused = sample_chunked(
+            compiled.sample, 40_000, 11, workers=workers, chunk_shots=4_096
+        )
+        expected = sample_chunked(
+            lambda shots, rng: _oracle_walk(compiled, 9, shots, rng),
+            40_000,
+            11,
+            workers=1,
+            chunk_shots=4_096,
+        )
+        assert np.array_equal(fused, expected)
+
+    def test_children_table_interleaves_child_arrays(self):
+        compiled, _ = _compiled(_clifford_t(6, 2))
+        assert np.array_equal(compiled.children[0::2], compiled.child0)
+        assert np.array_equal(compiled.children[1::2], compiled.child1)
+        assert set(compiled.to_arrays()) == {
+            "p0", "child0", "child1", "levels_flat", "level_offsets", "header"
+        }

@@ -213,3 +213,19 @@ def test_approx_through_service_cache(dusty_file, tmp_path, capsys):
     warm = capsys.readouterr().out
     assert "approximation: fidelity >= " in warm
     assert "(cache: disk)" in warm or "(cache: hot)" in warm
+
+
+def test_negative_top_is_an_argparse_error(bell_file, capsys):
+    # A negative --top used to slice the ranking from the end and print
+    # "... N more outcomes" for outcomes that were never hidden.
+    with pytest.raises(SystemExit) as info:
+        main([bell_file, "--shots", "100", "--top", "-1"])
+    assert info.value.code == 2
+    assert "--top: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_top_zero_lists_no_outcomes(bell_file, capsys):
+    assert main([bell_file, "--shots", "1000", "--seed", "1", "--top", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "|00>" not in out and "|11>" not in out
+    assert "... 2 more outcomes" in out

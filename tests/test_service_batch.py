@@ -269,3 +269,37 @@ def test_smoke_flag_passes(tmp_path, capsys):
     assert main(["--smoke", "--cache-dir", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert "serve-smoke ok" in captured.out
+
+
+def test_negative_top_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--top", "-1"])
+    assert info.value.code == 2
+    assert "--top: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_run_batch_rejects_negative_top_before_reading(tmp_path):
+    source = io.StringIO(
+        json.dumps({"circuit": "qft_3", "shots": 1000, "seed": 1}) + "\n"
+    )
+    with SamplingService(cache_dir=str(tmp_path)) as service:
+        with pytest.raises(ValueError, match="top must be non-negative"):
+            run_batch(service, source, io.StringIO(), top=-1)
+        assert service.stats()["requests"] == 0
+
+
+def test_batch_lines_round_trip_through_json_dumps(tmp_path):
+    requests = [
+        {"request_id": "q", "circuit": "qft_4", "shots": 3000, "seed": 2},
+        {"request_id": "bad", "circuit": "qft_4", "shots": -1, "seed": 2},
+    ]
+    source = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
+    sink = io.StringIO()
+    with SamplingService(cache_dir=str(tmp_path)) as service:
+        run_batch(service, source, sink, top=5)
+    lines = sink.getvalue().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(record) + "\n" for record in records]
+    counts = records[0]["counts"]
+    assert list(counts) == sorted(counts, key=lambda bits: (-counts[bits], bits))
+    assert records[1]["status"] == "rejected"

@@ -393,3 +393,96 @@ def test_draining_server_answers_503(tmp_path):
         assert health[0] == 503
         assert json.loads(health[2])["status"] == "draining"
     assert pool.exit_codes() == [0]
+
+
+# ---------------------------------------------------------------------------
+# Wire identity: worker-encoded bodies pass through byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _in_process_body(service, record, wire_body, extra):
+    """``json.dumps(to_dict(top) | extra) + "\\n"`` for ``record`` served
+    in this process at the same seed, with the server's timings and cache
+    tier (the only fields that legitimately differ) taken from the wire."""
+    from repro.service.__main__ import _request_from_record
+
+    response = service.sample(_request_from_record(record))
+    wire = json.loads(wire_body)
+    response.build_seconds = wire["build_seconds"]
+    response.sampling_seconds = wire["sampling_seconds"]
+    response.cache = wire["cache"]
+    payload = response.to_dict(record.get("top"))
+    payload.update(extra)
+    return (json.dumps(payload) + "\n").encode()
+
+
+def test_sample_and_batch_bodies_equal_in_process_encoding(tmp_path):
+    from repro.service import SamplingService
+
+    pool = _pool(tmp_path, workers=2)
+    full = {"request_id": "full", "circuit": "qft_6", "shots": 3000, "seed": 5}
+    top = {"request_id": "top", "circuit": "w_5", "shots": 2000, "seed": 6,
+           "top": 2}
+    late = {"request_id": "late", "circuit": "qft_12", "shots": 100,
+            "seed": 2, "deadline_seconds": 0.001}
+    negative = {"request_id": "neg", "circuit": "bell", "shots": 10,
+                "seed": 1, "top": -1}
+
+    async def scenario(front):
+        host, port = front.host, front.port
+
+        async def post(path, body):
+            return await http_request(host, port, "POST", path, body=body)
+
+        answers = {}
+        for record in (late, full, top, negative):
+            answers[record["request_id"]] = await post(
+                "/v1/sample", json.dumps(record).encode()
+            )
+        lines = [json.dumps(r).encode() for r in (full, negative, top)]
+        batch = await post("/v1/batch", b"\n".join(lines))
+        return answers, batch
+
+    answers, batch = _run(_with_server(pool, scenario))
+    worker = {
+        record["request_id"]: pool.worker_for(pool.routing_key(record))
+        for record in (full, top, late)
+    }
+    with SamplingService() as service:
+        status, headers, body = answers["late"]
+        assert status == 503
+        assert headers["retry-after"] == "2"
+        assert json.loads(body)["status"] == "deadline_exceeded"
+        assert json.loads(body)["retry_after"] == 2
+        assert body == _in_process_body(
+            service, late, body, {"worker": worker["late"], "retry_after": 2}
+        )
+        for record in (full, top):
+            status, _headers, body = answers[record["request_id"]]
+            assert status == 200
+            assert body == _in_process_body(
+                service, record, body, {"worker": worker[record["request_id"]]}
+            )
+        assert json.loads(answers["top"][2])["counts_truncated"] > 0
+        status, _headers, body = answers["neg"]
+        assert status == 400
+        assert json.loads(body) == {
+            "status": "rejected",
+            "error": "top must be non-negative, got -1",
+        }
+
+        status, _headers, body = batch
+        assert status == 200
+        lines = body.splitlines(keepends=True)
+        assert len(lines) == 3
+        assert lines[0] == _in_process_body(
+            service, full, lines[0], {"worker": worker["full"]}
+        )
+        assert json.loads(lines[1]) == {
+            "status": "rejected",
+            "error": "line 2: top must be non-negative, got -1",
+        }
+        assert lines[2] == _in_process_body(
+            service, top, lines[2], {"worker": worker["top"]}
+        )
+    assert pool.exit_codes() == [0, 0]

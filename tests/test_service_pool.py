@@ -5,8 +5,13 @@ counts) and pin the pool's contract: every record routes to the worker
 the ring assigns for its artifact key, responses are bit-identical to
 ``simulate_and_sample``, a full dispatch window sheds with
 ``PoolSaturatedError`` instead of queueing unboundedly, and a drain
-leaves no hung futures and no crashed workers.
+leaves no hung futures and no crashed workers.  Replies are
+:class:`~repro.service.pool.PoolReply` tuples whose ``body`` is the
+encoded response line; :func:`_decoded` checks that the reply's fields
+agree with the body before a test reads the record.
 """
+
+import json
 
 import pytest
 
@@ -30,6 +35,16 @@ def _record(circuit, shots, seed, request_id=None):
     }
 
 
+def _decoded(reply):
+    """The response record in ``reply.body``, checked against the reply."""
+    assert reply.body.endswith(b"\n") and reply.body.count(b"\n") == 1
+    record = json.loads(reply.body)
+    assert record["status"] == reply.status
+    assert record.get("cache") == reply.cache
+    assert record["worker"] == reply.worker
+    return record
+
+
 # ---------------------------------------------------------------------------
 # Round trip and bit-identity
 # ---------------------------------------------------------------------------
@@ -48,7 +63,7 @@ def test_round_trip_bit_identical_and_sharded(tmp_path):
             for name, shots, seed in specs
         }
         responses = {
-            name: [future.result(timeout=60) for future in pair]
+            name: [_decoded(future.result(timeout=60)) for future in pair]
             for name, pair in futures.items()
         }
         # Dispatcher-side routing must agree with where answers came from.
@@ -76,7 +91,7 @@ def test_same_circuit_always_lands_on_one_worker(tmp_path):
             pool.submit_record(_record("ghz_4", 100, seed, f"g-{seed}"))
             for seed in range(6)
         ]
-        workers = {f.result(timeout=60)["worker"] for f in futures}
+        workers = {_decoded(f.result(timeout=60))["worker"] for f in futures}
         stats = pool.stats()
     assert len(workers) == 1
     # One build pool-wide; the repeats hit the owning worker's caches.
@@ -109,7 +124,7 @@ def test_full_dispatch_window_sheds(tmp_path):
             for attempt in range(100):
                 pool.submit_record(_record("qft_10", 200_000, 1, f"x{attempt}"))
         assert info.value.retry_after > 0
-        assert first.result(timeout=120)["status"] == "ok"
+        assert _decoded(first.result(timeout=120))["status"] == "ok"
         assert pool.stats(include_workers=False)["shed"] >= 1
 
 
@@ -151,13 +166,15 @@ def test_qasm_file_spec_allowed_under_configured_root(tmp_path):
     outside.write_text(_BELL_QASM, encoding="utf-8")
     config = PoolConfig(qasm_file_root=str(inside))
     with WorkerPool(workers=1, config=config) as pool:
-        response = pool.submit_record(
-            {
-                "circuit": {"qasm_file": str(inside / "bell.qasm")},
-                "shots": 50,
-                "seed": 1,
-            }
-        ).result(timeout=60)
+        response = _decoded(
+            pool.submit_record(
+                {
+                    "circuit": {"qasm_file": str(inside / "bell.qasm")},
+                    "shots": 50,
+                    "seed": 1,
+                }
+            ).result(timeout=60)
+        )
         assert response["status"] == "ok"
         with pytest.raises(ReproError, match="outside the allowed"):
             pool.submit_record(
@@ -217,17 +234,19 @@ def test_stats_polling_does_not_consume_dispatch_window(tmp_path):
             assert all(entry[2] for entry in pool._pending.values())
         assert "requests" in future.result(timeout=30)["stats"]
         # The single window slot is still free for a real request.
-        response = pool.submit_record(_record("bell", 50, 1)).result(
-            timeout=60
+        response = _decoded(
+            pool.submit_record(_record("bell", 50, 1)).result(timeout=60)
         )
         assert response["status"] == "ok"
 
 
 def test_worker_side_rejection_comes_back_as_record(tmp_path):
     with WorkerPool(workers=1, config=PoolConfig()) as pool:
-        response = pool.submit_record(
-            {"request_id": "bad", "circuit": "bell", "shots": -5, "seed": 1}
-        ).result(timeout=60)
+        response = _decoded(
+            pool.submit_record(
+                {"request_id": "bad", "circuit": "bell", "shots": -5, "seed": 1}
+            ).result(timeout=60)
+        )
     assert response["status"] == "rejected"
     assert "shots" in response["error"]
 
@@ -243,7 +262,7 @@ def test_drain_is_clean_and_refuses_new_work(tmp_path):
     ).start()
     future = pool.submit_record(_record("bell", 200, 2))
     assert pool.drain(timeout=60.0) is True
-    assert future.done() and future.result()["status"] == "ok"
+    assert future.done() and _decoded(future.result())["status"] == "ok"
     assert pool.exit_codes() == [0, 0]
     assert pool.stats(include_workers=False)["terminated_workers"] == 0
     with pytest.raises(PoolClosedError):
@@ -255,3 +274,18 @@ def test_close_is_idempotent(tmp_path):
     pool.close()
     pool.close()
     assert pool.exit_codes() == [0]
+
+
+def test_negative_top_refused_before_dispatch(tmp_path):
+    with WorkerPool(workers=1, config=PoolConfig()) as pool:
+        with pytest.raises(ValueError, match="top must be non-negative"):
+            pool.submit_record(_record("bell", 10, 1), top=-1)
+        assert pool.stats(include_workers=False)["dispatched"] == 0
+        # top=0 is valid: every outcome is summarised as truncated.
+        response = _decoded(
+            pool.submit_record(_record("bell", 100, 1), top=0).result(
+                timeout=60
+            )
+        )
+    assert response["counts"] == {}
+    assert response["counts_truncated"] == 2
