@@ -27,7 +27,7 @@ import tempfile
 from repro import simulate_and_sample
 from repro.algorithms import qft
 from repro.service import SamplingRequest, SamplingService
-from repro.service.__main__ import resolve_circuit
+from repro.service.api import resolve_circuit
 from repro.service.net import HttpFrontDoor, post_json
 from repro.service.pool import PoolConfig, WorkerPool
 from repro.telemetry import Telemetry

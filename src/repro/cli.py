@@ -21,6 +21,7 @@ from .circuit.drawer import draw
 from .circuit.qasm import parse_qasm
 from .core.weak_sim import DD_METHODS, VECTOR_METHODS, simulate_and_sample
 from .exceptions import ReproError
+from .simulators.build_spec import BuildSpec
 
 __all__ = ["main", "non_negative_int"]
 
@@ -183,81 +184,58 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --workers must be positive", file=sys.stderr)
         return 2
 
-    approximation = None
-    if args.approx_epsilon or args.approx_node_budget is not None:
-        from .dd.approximation import ApproximationConfig
-
-        try:
-            approximation = ApproximationConfig(
-                epsilon=args.approx_epsilon,
-                node_budget=args.approx_node_budget,
-            )
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        if not approximation.enabled:
+    noise = None
+    if args.noise is not None and args.noise.lstrip().startswith("{"):
+        if args.noise_strength is not None:
             print(
-                "error: --approx-node-budget needs --approx-epsilon > 0 "
-                "(the fidelity allowance the pruning may spend)",
+                "error: --noise-strength does not combine with a JSON "
+                "--noise object (put the strengths in the object)",
                 file=sys.stderr,
             )
             return 2
-
-    reorder = None
-    if args.reorder or args.reorder_budget is not None:
-        from .dd.reorder import DEFAULT_SIFT_BUDGET, ReorderConfig
+        import json
 
         try:
-            reorder = ReorderConfig(
-                enabled=True,
-                budget=(
-                    args.reorder_budget
-                    if args.reorder_budget is not None
-                    else DEFAULT_SIFT_BUDGET
-                ),
+            noise = json.loads(args.noise)
+        except ValueError as error:
+            print(f"error: --noise is not valid JSON: {error}", file=sys.stderr)
+            return 2
+    elif args.noise is not None:
+        if args.noise_strength is None:
+            print(
+                f"error: --noise {args.noise} needs --noise-strength "
+                "(or pass a JSON object with explicit strengths)",
+                file=sys.stderr,
             )
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
             return 2
-
-    noise = None
-    if args.noise is not None or args.noise_strength is not None:
-        from .noise import NoiseModel
-
-        spec = args.noise
-        if spec is not None and spec.lstrip().startswith("{"):
-            if args.noise_strength is not None:
-                print(
-                    "error: --noise-strength does not combine with a JSON "
-                    "--noise object (put the strengths in the object)",
-                    file=sys.stderr,
-                )
-                return 2
-            import json
-
-            try:
-                material = json.loads(spec)
-            except ValueError as error:
-                print(f"error: --noise is not valid JSON: {error}", file=sys.stderr)
-                return 2
-        elif spec is not None:
-            if args.noise_strength is None:
-                print(
-                    f"error: --noise {spec} needs --noise-strength "
-                    "(or pass a JSON object with explicit strengths)",
-                    file=sys.stderr,
-                )
-                return 2
-            material = {spec: args.noise_strength}
-        else:
-            material = {"depolarizing": args.noise_strength}
-        try:
-            noise = NoiseModel.from_value(material)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        if noise is not None and not noise.enabled:
-            noise = None
+        noise = {args.noise: args.noise_strength}
+    elif args.noise_strength is not None:
+        noise = {"depolarizing": args.noise_strength}
+    try:
+        spec = BuildSpec.of(
+            optimize=not args.no_optimize,
+            kernel=args.kernel,
+            approximation={
+                "epsilon": args.approx_epsilon,
+                "node_budget": args.approx_node_budget,
+            },
+            reorder=(
+                args.reorder
+                if args.reorder_budget is None
+                else {"budget": args.reorder_budget}
+            ),
+            noise=noise,
+        )
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if args.approx_node_budget is not None and spec.approximation is None:
+        print(
+            "error: --approx-node-budget needs --approx-epsilon > 0 "
+            "(the fidelity allowance the pruning may spend)",
+            file=sys.stderr,
+        )
+        return 2
 
     session = None
     if args.trace:
@@ -281,11 +259,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         seed=args.seed,
                         method=args.method,
                         workers=args.workers,
-                        optimize=not args.no_optimize,
-                        kernel=args.kernel,
-                        approximation=approximation,
-                        reorder=reorder,
-                        noise_model=noise,
+                        optimize=spec.optimize,
+                        kernel=spec.kernel,
+                        approximation=spec.approximation,
+                        reorder=spec.reorder,
+                        noise_model=spec.noise,
                     )
                 )
             if not response.ok:
@@ -303,12 +281,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 method=args.method,
                 seed=args.seed,
                 workers=args.workers,
-                optimize=not args.no_optimize,
+                optimize=spec.optimize,
                 telemetry=session,
-                kernel=args.kernel,
-                approximation=approximation,
-                reorder=reorder,
-                noise=noise,
+                kernel=spec.kernel,
+                approximation=spec.approximation,
+                reorder=spec.reorder,
+                noise=spec.noise,
             )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -320,7 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{result.shots} shots via {args.method!r} in {elapsed:.3f} s"
         f"{cache_note}"
     )
-    if approximation is not None:
+    if spec.approximation is not None:
         approx_meta = (result.metadata.get("build") or {}).get("approximation")
         if approx_meta is None:
             approx_meta = (result.metadata.get("service") or {}).get(
@@ -329,11 +307,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if approx_meta:
             print(
                 f"approximation: fidelity >= {approx_meta['fidelity_bound']:.6f} "
-                f"(epsilon budget {approximation.epsilon}, "
+                f"(epsilon budget {spec.approximation.epsilon}, "
                 f"{approx_meta['rounds']} pruning rounds, "
                 f"{approx_meta['removed_edges']} edges removed)"
             )
-    if reorder is not None:
+    if spec.reorder is not None:
         reorder_meta = (result.metadata.get("build") or {}).get("reorder")
         if reorder_meta is None:
             reorder_meta = (result.metadata.get("service") or {}).get("reorder")
@@ -344,11 +322,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{reorder_meta['swaps_kept']} swaps kept; samples reported "
                 "in original qubit order)"
             )
-    if noise is not None:
+    if spec.noise is not None:
         noise_meta = (result.metadata.get("build") or {}).get("noise")
         if noise_meta is None:
             noise_meta = (result.metadata.get("service") or {}).get("noise")
-        line = f"noise: {noise.describe()}"
+        line = f"noise: {spec.noise.describe()}"
         if noise_meta:
             line += (
                 f" ({noise_meta['channel_applications']} channel "

@@ -94,12 +94,11 @@ class ShotExecutor:
         telemetry: Optional["_telemetry.Telemetry"] = None,
         kernel: str = "auto",
     ):
-        from ..simulators.dd_simulator import DDSimulator
+        from ..simulators.build_spec import KERNELS
 
-        if kernel not in DDSimulator.KERNELS:
+        if kernel not in KERNELS:
             raise SimulationError(
-                f"unknown kernel {kernel!r}; expected one of "
-                f"{DDSimulator.KERNELS}"
+                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
             )
         #: Optional telemetry session activated around every run (the
         #: branching counters below are absorbed into its registry).

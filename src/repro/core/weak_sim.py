@@ -35,6 +35,7 @@ from ..dd.vector_dd import VectorDD
 from ..exceptions import SamplingError
 from ..noise.model import NoiseModel
 from ..perf import compiled_dd as _compiled_dd
+from ..simulators.build_spec import DD_METHODS, VECTOR_METHODS, BuildSpec
 from ..simulators.dd_simulator import DDSimulator
 from ..simulators.density_simulator import (
     DensityMatrixSimulator,
@@ -56,9 +57,6 @@ __all__ = [
     "sample_statevector",
     "sample_dd",
 ]
-
-VECTOR_METHODS = ("vector", "vector-linear", "vector-ooc", "vector-alias")
-DD_METHODS = ("dd", "dd-path", "dd-multinomial", "dd-collapse")
 
 
 def sample_statevector(
@@ -131,8 +129,7 @@ def sample_dd(
         raise SamplingError(f"unknown DD sampling method {method!r}")
     if shots < 0:
         raise SamplingError(f"shots must be non-negative, got {shots}")
-    if workers is not None and method != "dd":
-        raise SamplingError("parallel chunked sampling requires method='dd'")
+    BuildSpec().check(method, workers)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     with _telemetry.activate(telemetry):
         start = time.perf_counter()
@@ -212,23 +209,23 @@ def _build_metadata(stats) -> dict:
 def _simulate_noisy(
     circuit: QuantumCircuit,
     shots: int,
-    noise: NoiseModel,
+    spec: BuildSpec,
     seed: Union[int, np.random.Generator, None],
-    initial_state: int,
 ) -> SampleResult:
     """The noisy pipeline: density build → diagonal → compiled sampling.
 
-    Called with an already-active telemetry session and an enabled,
-    normalised ``noise`` model.  The compile pipeline is bypassed (noise
+    Called with an already-active telemetry session and a checked spec
+    whose ``noise`` is enabled.  The compile pipeline is bypassed (noise
     binds to the circuit as written — see
     :mod:`repro.simulators.density_simulator`), so there is no
     ``optimize``/``kernel``/``workers`` surface here.
     """
     if shots < 0:
         raise SamplingError(f"shots must be non-negative, got {shots}")
+    noise = spec.noise
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     simulator = DensityMatrixSimulator(noise=noise)
-    rho = simulator.run(circuit, initial_state=initial_state)
+    rho = simulator.run(circuit, initial_state=spec.initial_state)
     start = time.perf_counter()
     with _telemetry.span("precompute", method="dd", noisy=True) as precompute_span:
         compiled = compile_noisy_sampler(rho, noise)
@@ -303,86 +300,42 @@ def simulate_and_sample(
     ``metadata["build"]["noise"]`` records the model (see
     ``docs/noise.md``).  A disabled model (all strengths zero) is
     normalised away, so the run is bit-identical to the exact pure-state
-    path at equal seed.
+    path at equal seed.  A combination no path can serve raises
+    :class:`~repro.simulators.build_spec.BuildSpecError` (a
+    :class:`~repro.exceptions.SamplingError`) with its row of the rule
+    table in ``docs/api.md``.
     """
-    if approximation is not None and not isinstance(
-        approximation, ApproximationConfig
-    ):
-        approximation = ApproximationConfig.from_value(approximation)
-    if approximation is not None and not approximation.enabled:
-        approximation = None
-    if reorder is not None and not isinstance(reorder, ReorderConfig):
-        reorder = ReorderConfig.from_value(reorder)
-    if reorder is not None and not reorder.enabled:
-        reorder = None
-    if noise is not None and not isinstance(noise, NoiseModel):
-        noise = NoiseModel.from_value(noise)
-    if noise is not None and not noise.enabled:
-        noise = None
-    if noise is not None:
-        # Noisy runs have a deliberately narrow contract; every
-        # incompatible combination is a loud error, never a silent drop
-        # (docs/noise.md, "Composition with other features").
-        if method != "dd":
-            raise SamplingError(
-                "noisy simulation samples from the compiled density "
-                "diagonal and supports method='dd' only"
-            )
-        if approximation is not None:
-            raise SamplingError(
-                "noise and approximation cannot be combined: the "
-                "fidelity-bound accounting assumes a pure state"
-            )
-        if reorder is not None:
-            raise SamplingError(
-                "noise and reordering cannot be combined: sifting is "
-                "implemented for vector DDs only"
-            )
-        if workers is not None:
-            raise SamplingError(
-                "parallel chunked sampling is not supported for noisy runs"
-            )
+    spec = BuildSpec.of(
+        scheme, optimize, initial_state, kernel, approximation, reorder, noise
+    )
+    spec.check(method, workers)
     with _telemetry.activate(telemetry):
-        if noise is not None:
-            return _simulate_noisy(circuit, shots, noise, seed, initial_state)
+        if spec.noise is not None:
+            return _simulate_noisy(circuit, shots, spec, seed)
         if method in VECTOR_METHODS:
-            if approximation is not None:
-                raise SamplingError(
-                    "approximation applies to DD methods only; vector "
-                    "methods are always exact"
-                )
-            if reorder is not None:
-                raise SamplingError(
-                    "reordering applies to DD methods only; vector "
-                    "methods use the natural order"
-                )
-            if workers is not None:
-                raise SamplingError("parallel chunked sampling requires method='dd'")
             simulator = StatevectorSimulator(
-                memory_cap_bytes=memory_cap_bytes, optimize=optimize
+                memory_cap_bytes=memory_cap_bytes, optimize=spec.optimize
             )
-            statevector = simulator.run(circuit, initial_state=initial_state)
+            statevector = simulator.run(circuit, initial_state=spec.initial_state)
             result = sample_statevector(statevector, shots, method=method, seed=seed)
             result.metadata["build"] = _build_metadata(simulator.stats)
             return result
-        if method in DD_METHODS:
-            dd_simulator = DDSimulator(
-                scheme=scheme,
-                optimize=optimize,
-                kernel=kernel,
-                approximation=approximation,
-                reorder=reorder,
-            )
-            state = dd_simulator.run(circuit, initial_state=initial_state)
-            result = sample_dd(state, shots, method=method, seed=seed, workers=workers)
-            level_to_qubit = dd_simulator.stats.level_to_qubit
-            if level_to_qubit is not None and not is_identity_permutation(
-                level_to_qubit
-            ):
-                # Samples were drawn in level space; re-key the counts
-                # back to original qubit order (a bijection on basis
-                # indices, so the shot total is preserved exactly).
-                result.counts = unpermute_counts(result.counts, level_to_qubit)
-            result.metadata["build"] = _build_metadata(dd_simulator.stats)
-            return result
-        raise SamplingError(f"unknown weak-simulation method {method!r}")
+        dd_simulator = DDSimulator(
+            scheme=spec.scheme,
+            optimize=spec.optimize,
+            kernel=spec.kernel,
+            approximation=spec.approximation,
+            reorder=spec.reorder,
+        )
+        state = dd_simulator.run(circuit, initial_state=spec.initial_state)
+        result = sample_dd(state, shots, method=method, seed=seed, workers=workers)
+        level_to_qubit = dd_simulator.stats.level_to_qubit
+        if level_to_qubit is not None and not is_identity_permutation(
+            level_to_qubit
+        ):
+            # Samples were drawn in level space; re-key the counts back
+            # to original qubit order (a bijection on basis indices, so
+            # the shot total is preserved exactly).
+            result.counts = unpermute_counts(result.counts, level_to_qubit)
+        result.metadata["build"] = _build_metadata(dd_simulator.stats)
+        return result

@@ -39,128 +39,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import tempfile
 from typing import Any, Dict, List, Optional, TextIO
 
-from ..circuit.circuit import QuantumCircuit
 from ..cli import non_negative_int
 from ..exceptions import ReproError
-from .api import SamplingRequest, SamplingResponse, SamplingService
+from .api import SamplingRequest, SamplingResponse, SamplingService, resolve_circuit
 
 __all__ = ["main", "resolve_circuit", "run_batch"]
-
-_SUPREMACY_NAME = re.compile(r"^supremacy_(\d+)x(\d+)_(\d+)$")
-_FAMILY_NAME = re.compile(r"^(qft|grover|ghz|w)_(\d+)$")
-
-
-def resolve_circuit(spec: Any) -> QuantumCircuit:
-    """Turn a request's ``circuit`` field into a :class:`QuantumCircuit`.
-
-    Accepts a builtin name (string), ``{"name": ...}``,
-    ``{"qasm": source}``, or ``{"qasm_file": path}``.  Builtin
-    parameterised families use fixed seeds (``grover_N`` draws its
-    marked element with seed 1, ``supremacy_*`` with seed 0) so the same
-    name always means the same circuit — a requirement for the cache key
-    to be meaningful across processes.
-    """
-    if isinstance(spec, dict):
-        if "qasm" in spec:
-            from ..circuit.qasm import parse_qasm
-
-            return parse_qasm(spec["qasm"])
-        if "qasm_file" in spec:
-            from ..circuit.qasm import parse_qasm
-
-            with open(spec["qasm_file"], "r", encoding="utf-8") as handle:
-                return parse_qasm(handle.read())
-        if "name" in spec:
-            spec = spec["name"]
-        else:
-            raise ReproError(
-                "circuit object needs one of 'qasm', 'qasm_file', 'name'"
-            )
-    if not isinstance(spec, str):
-        raise ReproError(f"cannot resolve circuit from {type(spec).__name__}")
-    if spec == "bell":
-        from ..algorithms.states import bell_pair
-
-        return bell_pair()
-    match = _FAMILY_NAME.match(spec)
-    if match:
-        family, size = match.group(1), int(match.group(2))
-        if family == "qft":
-            from ..algorithms.qft import qft
-
-            return qft(size)
-        if family == "grover":
-            from ..algorithms.grover import grover
-
-            return grover(size, seed=1).circuit
-        if family == "ghz":
-            from ..algorithms.states import ghz
-
-            return ghz(size)
-        from ..algorithms.states import w_state
-
-        return w_state(size)
-    match = _SUPREMACY_NAME.match(spec)
-    if match:
-        from ..algorithms.supremacy import supremacy
-
-        return supremacy(
-            int(match.group(1)), int(match.group(2)), int(match.group(3)), seed=0
-        )
-    raise ReproError(
-        f"unknown builtin circuit {spec!r} (expected bell, qft_N, grover_N, "
-        "ghz_N, w_N, or supremacy_RxC_D)"
-    )
-
-
-def _request_from_record(
-    record: Dict[str, Any], default_kernel: str = "auto"
-) -> SamplingRequest:
-    """Build a :class:`SamplingRequest` from one parsed JSONL record.
-
-    ``default_kernel`` applies to records without a ``kernel`` field (the
-    CLI's ``--kernel`` flag); an explicit per-request field wins.
-    """
-    if "circuit" not in record:
-        raise ReproError("request is missing the 'circuit' field")
-    if "shots" not in record:
-        raise ReproError("request is missing the 'shots' field")
-    circuit = resolve_circuit(record["circuit"])
-    return SamplingRequest(
-        circuit=circuit,
-        shots=int(record["shots"]),
-        seed=None if record.get("seed") is None else int(record["seed"]),
-        method=str(record.get("method", "dd")),
-        workers=(
-            None if record.get("workers") is None else int(record["workers"])
-        ),
-        optimize=bool(record.get("optimize", True)),
-        initial_state=int(record.get("initial_state", 0)),
-        deadline_seconds=(
-            None
-            if record.get("deadline_seconds") is None
-            else float(record["deadline_seconds"])
-        ),
-        request_id=(
-            None
-            if record.get("request_id") is None
-            else str(record["request_id"])
-        ),
-        kernel=str(record.get("kernel", default_kernel)),
-        # Passed through raw: the service validates and normalises these
-        # (approximation: number or {"epsilon": ...}; reorder: bool,
-        # budget, or {"budget": ...}; noise_model: number or a channel-
-        # strength mapping), so malformed values become 'rejected'
-        # responses, not crashes.
-        approximation=record.get("approximation"),
-        reorder=record.get("reorder"),
-        noise_model=record.get("noise_model"),
-    )
 
 
 def run_batch(
@@ -168,17 +55,16 @@ def run_batch(
     source: TextIO,
     sink: TextIO,
     top: Optional[int] = None,
-    default_kernel: str = "auto",
 ) -> int:
     """Stream JSONL requests through ``service``; returns the error count.
 
-    Responses are written in input order, each encoded by
+    Each line is decoded by :meth:`SamplingRequest.from_record` and
+    responses are written in input order, each encoded by
     :meth:`SamplingResponse.to_json_bytes`.  Lines that fail to parse or
     resolve become ``rejected`` response records instead of killing the
-    batch; the return value counts every non-``ok`` response.
-    ``default_kernel`` is the build engine for requests that do not set
-    their own ``kernel`` field.  A negative ``top`` raises
-    :class:`ValueError` before any request is read.
+    batch; the return value counts every non-``ok`` response.  A
+    negative ``top`` raises :class:`ValueError` before any request is
+    read.
     """
     if top is not None and top < 0:
         raise ValueError(f"top must be non-negative, got {top}")
@@ -192,7 +78,7 @@ def run_batch(
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise ReproError("request line must be a JSON object")
-            request = _request_from_record(record, default_kernel=default_kernel)
+            request = SamplingRequest.from_record(record)
         except (ValueError, ReproError, OSError) as error:
             slots.append(
                 SamplingResponse(
@@ -261,14 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="concurrent strong-simulation builds (default 2)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "vector", "python"),
-        default="auto",
-        help="strong-simulation engine for cold builds (requests may "
-        "override per line with a 'kernel' field; cached artifacts are "
-        "engine-independent)",
     )
     parser.add_argument(
         "--top",
@@ -598,7 +476,6 @@ def _serve(args: argparse.Namespace) -> int:
         session = Telemetry()
     config_kwargs: Dict[str, Any] = {
         "cache_dir": args.cache_dir,
-        "kernel": args.kernel,
         "request_workers": args.request_workers,
         "build_workers": args.build_workers,
         "qasm_file_root": args.allow_qasm_file,
@@ -699,9 +576,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         with SamplingService(**service_kwargs) as service:
-            failures = run_batch(
-                service, source, sink, top=args.top, default_kernel=args.kernel
-            )
+            failures = run_batch(service, source, sink, top=args.top)
             stats = service.stats()
     finally:
         if source is not sys.stdin:

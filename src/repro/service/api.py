@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import collections
 import json
+import re
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
@@ -45,30 +46,95 @@ from ..circuit.circuit import QuantumCircuit
 from ..core.results import SampleResult, bitstrings
 from ..core.shot_executor import ShotExecutor, circuit_has_mid_circuit_measurement
 from ..core.weak_sim import (
-    DD_METHODS,
     VECTOR_METHODS,
     sample_statevector,
     simulate_and_sample,
 )
-from ..dd.approximation import ApproximationConfig
 from ..dd.normalization import NormalizationScheme
-from ..dd.reorder import (
-    ReorderConfig,
-    is_identity_permutation,
-    unpermute_samples,
-)
-from ..exceptions import DDError, MemoryOutError, NoiseError, ReproError
-from ..noise.model import NoiseModel
+from ..dd.reorder import is_identity_permutation, unpermute_samples
+from ..exceptions import MemoryOutError, ReproError
 from ..perf.compiled_dd import CompiledDD
 from ..perf.parallel import DEFAULT_CHUNK_SHOTS, sample_chunked
-from .keys import cache_key
+from ..simulators.build_spec import BuildSpec
+from .keys import spec_key
 from .scheduler import AdmissionError, BuildOutcome, BuildScheduler, ServicePolicy
 from .store import DEFAULT_MAX_BYTES, ArtifactStore
 
-__all__ = ["SamplingRequest", "SamplingResponse", "SamplingService"]
+__all__ = [
+    "SamplingRequest",
+    "SamplingResponse",
+    "SamplingService",
+    "resolve_circuit",
+]
 
 #: Default number of CompiledDD artifacts pinned in process memory.
 DEFAULT_HOT_ENTRIES = 8
+
+_SUPREMACY_NAME = re.compile(r"^supremacy_(\d+)x(\d+)_(\d+)$")
+_FAMILY_NAME = re.compile(r"^(qft|grover|ghz|w)_(\d+)$")
+
+
+def resolve_circuit(spec: Any) -> QuantumCircuit:
+    """Turn a request's ``circuit`` field into a :class:`QuantumCircuit`.
+
+    Accepts a builtin name (string), ``{"name": ...}``,
+    ``{"qasm": source}``, or ``{"qasm_file": path}``.  Builtin
+    parameterised families use fixed seeds (``grover_N`` draws its
+    marked element with seed 1, ``supremacy_*`` with seed 0) so the same
+    name always means the same circuit — a requirement for the cache key
+    to be meaningful across processes.
+    """
+    if isinstance(spec, dict):
+        if "qasm" in spec:
+            from ..circuit.qasm import parse_qasm
+
+            return parse_qasm(spec["qasm"])
+        if "qasm_file" in spec:
+            from ..circuit.qasm import parse_qasm
+
+            with open(spec["qasm_file"], "r", encoding="utf-8") as handle:
+                return parse_qasm(handle.read())
+        if "name" in spec:
+            spec = spec["name"]
+        else:
+            raise ReproError(
+                "circuit object needs one of 'qasm', 'qasm_file', 'name'"
+            )
+    if not isinstance(spec, str):
+        raise ReproError(f"cannot resolve circuit from {type(spec).__name__}")
+    if spec == "bell":
+        from ..algorithms.states import bell_pair
+
+        return bell_pair()
+    match = _FAMILY_NAME.match(spec)
+    if match:
+        family, size = match.group(1), int(match.group(2))
+        if family == "qft":
+            from ..algorithms.qft import qft
+
+            return qft(size)
+        if family == "grover":
+            from ..algorithms.grover import grover
+
+            return grover(size, seed=1).circuit
+        if family == "ghz":
+            from ..algorithms.states import ghz
+
+            return ghz(size)
+        from ..algorithms.states import w_state
+
+        return w_state(size)
+    match = _SUPREMACY_NAME.match(spec)
+    if match:
+        from ..algorithms.supremacy import supremacy
+
+        return supremacy(
+            int(match.group(1)), int(match.group(2)), int(match.group(3)), seed=0
+        )
+    raise ReproError(
+        f"unknown builtin circuit {spec!r} (expected bell, qft_N, grover_N, "
+        "ghz_N, w_N, or supremacy_RxC_D)"
+    )
 
 
 class _JsonText(bytes):
@@ -153,6 +219,12 @@ class SamplingRequest:
     fallback; they compose with neither ``approximation`` nor
     ``reorder`` nor ``workers`` nor mid-circuit measurement (rejected,
     never silently dropped).
+
+    The service parses the build settings once per request
+    (:meth:`build_spec`); a combination no path can serve is a
+    ``rejected`` response carrying its row's message from the rule
+    table (:data:`~repro.simulators.build_spec.RULES`, rendered in
+    ``docs/api.md``).
     """
 
     circuit: QuantumCircuit
@@ -169,6 +241,59 @@ class SamplingRequest:
     approximation: Optional[Any] = None
     reorder: Optional[Any] = None
     noise_model: Optional[Any] = None
+
+    @classmethod
+    def from_record(cls, record: Dict[str, Any]) -> "SamplingRequest":
+        """Decode one JSONL/HTTP request record (schema in ``docs/serving.md``).
+
+        The circuit is resolved with :func:`resolve_circuit`.  The build
+        features (``approximation``, ``reorder``, ``noise_model``) pass
+        through raw: :meth:`build_spec` parses them when the request is
+        served, so a malformed value becomes a ``rejected`` response,
+        not a crash.  Raises :class:`~repro.exceptions.ReproError` (or
+        :class:`ValueError` for a mistyped scalar) for a record that
+        cannot become a request.
+        """
+        if "circuit" not in record:
+            raise ReproError("request is missing the 'circuit' field")
+        if "shots" not in record:
+            raise ReproError("request is missing the 'shots' field")
+
+        def optional(name: str, kind):
+            value = record.get(name)
+            return None if value is None else kind(value)
+
+        return cls(
+            circuit=resolve_circuit(record["circuit"]),
+            shots=int(record["shots"]),
+            seed=optional("seed", int),
+            method=str(record.get("method", "dd")),
+            workers=optional("workers", int),
+            optimize=bool(record.get("optimize", True)),
+            initial_state=int(record.get("initial_state", 0)),
+            deadline_seconds=optional("deadline_seconds", float),
+            request_id=optional("request_id", str),
+            kernel=str(record.get("kernel", "auto")),
+            approximation=record.get("approximation"),
+            reorder=record.get("reorder"),
+            noise_model=record.get("noise_model"),
+        )
+
+    def build_spec(self) -> BuildSpec:
+        """The request's :class:`~repro.simulators.build_spec.BuildSpec`.
+
+        Raises the config's own :class:`~repro.exceptions.ReproError`
+        for a malformed feature value.
+        """
+        return BuildSpec.of(
+            scheme=self.scheme,
+            optimize=self.optimize,
+            initial_state=self.initial_state,
+            kernel=self.kernel,
+            approximation=self.approximation,
+            reorder=self.reorder,
+            noise=self.noise_model,
+        )
 
 
 @dataclass
@@ -439,140 +564,27 @@ class SamplingService:
         return response
 
     def _route(self, request: SamplingRequest) -> SamplingResponse:
-        problem = self._validate(request)
-        if problem is not None:
-            return self._reject(request, problem)
+        if request.shots < 0:
+            return self._reject(
+                request, f"shots must be non-negative, got {request.shots}"
+            )
+        if request.deadline_seconds is not None and request.deadline_seconds <= 0:
+            return self._reject(request, "deadline_seconds must be positive")
+        per_shot = circuit_has_mid_circuit_measurement(request.circuit)
+        try:
+            spec = request.build_spec()
+            spec.check(request.method, request.workers, per_shot)
+        except ReproError as error:
+            return self._reject(request, str(error))
         if request.method in VECTOR_METHODS:
-            return self._serve_bypass(request)
-        if circuit_has_mid_circuit_measurement(request.circuit):
-            return self._serve_shot_executor(request)
+            return self._serve_bypass(request, spec)
+        if per_shot:
+            return self._serve_shot_executor(request, spec)
         if request.method != "dd":
             # dd-path / dd-multinomial / dd-collapse walk the live DD,
             # which the flat artifact deliberately does not preserve.
-            return self._serve_bypass(request)
-        return self._serve_compiled(request)
-
-    @staticmethod
-    def _approx_config(
-        request: SamplingRequest,
-    ) -> Optional[ApproximationConfig]:
-        """The request's approximation contract; ``None`` when exact.
-
-        Raises :class:`~repro.exceptions.DDError` for a malformed value
-        (``_validate`` turns that into a rejection).
-        """
-        if request.approximation is None:
-            return None
-        config = ApproximationConfig.from_value(request.approximation)
-        return config if config.enabled else None
-
-    @staticmethod
-    def _reorder_config(
-        request: SamplingRequest,
-    ) -> Optional[ReorderConfig]:
-        """The request's reorder contract; ``None`` for fixed order.
-
-        Raises :class:`~repro.exceptions.DDError` for a malformed value
-        (``_validate`` turns that into a rejection).
-        """
-        if request.reorder is None:
-            return None
-        config = ReorderConfig.from_value(request.reorder)
-        return config if config.enabled else None
-
-    @staticmethod
-    def _noise_config(request: SamplingRequest) -> Optional[NoiseModel]:
-        """The request's noise model; ``None`` when exact.
-
-        Raises :class:`~repro.exceptions.NoiseError` for a malformed or
-        non-physical value (``_validate`` turns that into a rejection).
-        """
-        if request.noise_model is None:
-            return None
-        noise = NoiseModel.from_value(request.noise_model)
-        return noise if noise is not None and noise.enabled else None
-
-    def _validate(self, request: SamplingRequest) -> Optional[str]:
-        if request.shots < 0:
-            return f"shots must be non-negative, got {request.shots}"
-        if request.method not in DD_METHODS + VECTOR_METHODS:
-            return f"unknown sampling method {request.method!r}"
-        if request.workers is not None and request.method != "dd":
-            return "parallel chunked sampling requires method='dd'"
-        if request.kernel not in ("auto", "vector", "python"):
-            return (
-                f"unknown kernel {request.kernel!r}; expected 'auto', "
-                "'vector', or 'python'"
-            )
-        if request.deadline_seconds is not None and request.deadline_seconds <= 0:
-            return "deadline_seconds must be positive"
-        if (
-            circuit_has_mid_circuit_measurement(request.circuit)
-            and request.initial_state != 0
-        ):
-            return "mid-circuit measurement requires initial_state=0"
-        try:
-            approximation = self._approx_config(request)
-        except DDError as error:
-            return str(error)
-        if approximation is not None:
-            if request.method in VECTOR_METHODS:
-                return (
-                    "approximation applies to DD methods only; vector "
-                    "methods are always exact"
-                )
-            if circuit_has_mid_circuit_measurement(request.circuit):
-                return (
-                    "approximation is not supported for mid-circuit "
-                    "measurement (the shot executor re-simulates per shot)"
-                )
-        try:
-            reorder = self._reorder_config(request)
-        except DDError as error:
-            return str(error)
-        if reorder is not None:
-            if request.method in VECTOR_METHODS:
-                return (
-                    "reordering applies to DD methods only; vector "
-                    "methods use the natural order"
-                )
-            if circuit_has_mid_circuit_measurement(request.circuit):
-                return (
-                    "reordering is not supported for mid-circuit "
-                    "measurement (collapses assume a fixed qubit order)"
-                )
-        try:
-            noise = self._noise_config(request)
-        except NoiseError as error:
-            return str(error)
-        if noise is not None:
-            if request.method != "dd":
-                return (
-                    "noise requires method='dd' (samples come from the "
-                    "compiled density diagonal)"
-                )
-            if approximation is not None:
-                return (
-                    "noise and approximation cannot be combined: the "
-                    "fidelity-bound accounting assumes a pure state"
-                )
-            if reorder is not None:
-                return (
-                    "noise and reordering cannot be combined: sifting is "
-                    "implemented for vector DDs only"
-                )
-            if request.workers is not None:
-                return (
-                    "parallel chunked sampling is not supported for "
-                    "noisy requests"
-                )
-            if circuit_has_mid_circuit_measurement(request.circuit):
-                return (
-                    "noise is not supported for mid-circuit measurement "
-                    "requests (the service serves those per shot, which "
-                    "cannot apply density noise)"
-                )
-        return None
+            return self._serve_bypass(request, spec)
+        return self._serve_compiled(request, spec)
 
     def _reject(
         self,
@@ -604,7 +616,9 @@ class SamplingService:
     # Serving paths
     # ------------------------------------------------------------------
 
-    def _serve_bypass(self, request: SamplingRequest) -> SamplingResponse:
+    def _serve_bypass(
+        self, request: SamplingRequest, spec: BuildSpec
+    ) -> SamplingResponse:
         """Non-cacheable methods: delegate to ``simulate_and_sample``."""
         if request.method in VECTOR_METHODS:
             dense_bytes = 16 * (2**request.circuit.num_qubits)
@@ -615,22 +629,20 @@ class SamplingService:
                     f"service cap of {self.policy.dense_memory_cap_bytes}",
                 )
         start = time.perf_counter()
-        approximation = self._approx_config(request)
-        reorder = self._reorder_config(request)
         try:
             result = simulate_and_sample(
                 request.circuit,
                 request.shots,
                 method=request.method,
                 seed=request.seed,
-                initial_state=request.initial_state,
-                scheme=request.scheme,
+                initial_state=spec.initial_state,
+                scheme=spec.scheme,
                 memory_cap_bytes=self.policy.dense_memory_cap_bytes,
                 workers=request.workers,
-                optimize=request.optimize,
-                kernel=request.kernel,
-                approximation=approximation,
-                reorder=reorder,
+                optimize=spec.optimize,
+                kernel=spec.kernel,
+                approximation=spec.approximation,
+                reorder=spec.reorder,
             )
         except MemoryOutError as error:
             return self._reject(request, str(error))
@@ -654,15 +666,17 @@ class SamplingService:
             ),
         )
 
-    def _serve_shot_executor(self, request: SamplingRequest) -> SamplingResponse:
+    def _serve_shot_executor(
+        self, request: SamplingRequest, spec: BuildSpec
+    ) -> SamplingResponse:
         """Measure-and-continue circuits: per-shot semantics, no cache."""
         start = time.perf_counter()
         try:
             executor = ShotExecutor(
                 request.circuit,
-                scheme=request.scheme,
-                optimize=request.optimize,
-                kernel=request.kernel,
+                scheme=spec.scheme,
+                optimize=spec.optimize,
+                kernel=spec.kernel,
             )
             result = executor.run(request.shots, seed=request.seed)
         except ReproError as error:
@@ -678,24 +692,11 @@ class SamplingService:
             sampling_seconds=result.sampling_seconds,
         )
 
-    def _serve_compiled(self, request: SamplingRequest) -> SamplingResponse:
+    def _serve_compiled(
+        self, request: SamplingRequest, spec: BuildSpec
+    ) -> SamplingResponse:
         """The cached path: key → hot → disk → coalesced build → sample."""
-        approximation = self._approx_config(request)
-        reorder = self._reorder_config(request)
-        noise = self._noise_config(request)
-        # Noisy builds bypass the optimizer (noise binds to the circuit
-        # as written), so the flag is normalised out of the key — every
-        # noisy request for the same circuit+model shares one artifact.
-        optimize = request.optimize if noise is None else False
-        key = cache_key(
-            request.circuit,
-            scheme=request.scheme,
-            optimize=optimize,
-            initial_state=request.initial_state,
-            approximation=approximation,
-            reorder=reorder,
-            noise=noise,
-        )
+        key = spec_key(request.circuit, spec)
         compiled, hot_meta = self._hot_get(key)
         if compiled is not None:
             outcome = BuildOutcome(
@@ -707,17 +708,7 @@ class SamplingService:
             )
         else:
             try:
-                future = self.scheduler.submit(
-                    key,
-                    request.circuit,
-                    scheme=request.scheme,
-                    optimize=optimize,
-                    initial_state=request.initial_state,
-                    kernel=request.kernel,
-                    approximation=approximation,
-                    reorder=reorder,
-                    noise=noise,
-                )
+                future = self.scheduler.submit(key, request.circuit, spec)
             except AdmissionError as error:
                 return self._reject(request, str(error), key=key)
             self._set_queue_gauge()
@@ -804,25 +795,16 @@ class SamplingService:
         sampling_seconds = time.perf_counter() - start
         result.sampling_seconds = sampling_seconds
         result.precompute_seconds = outcome.build_seconds
+        meta = outcome.meta or {}
         service_meta: Dict[str, Any] = {
             "key": outcome.key,
             "cache": outcome.source,
             "backend": outcome.backend,
             "attempts": outcome.attempts,
         }
-        approx_meta = (outcome.meta or {}).get("approximation")
-        fidelity_bound = None
-        if approx_meta is not None:
-            service_meta["approximation"] = approx_meta
-            fidelity_bound = approx_meta.get("fidelity_bound")
-        reorder_meta = (outcome.meta or {}).get("reorder")
-        if reorder_meta is not None:
-            service_meta["reorder"] = reorder_meta
-        noise_meta = (outcome.meta or {}).get("noise")
-        response_noise = None
-        if noise_meta is not None:
-            service_meta["noise"] = noise_meta
-            response_noise = noise_meta.get("model")
+        for feature in ("approximation", "reorder", "noise"):
+            if meta.get(feature) is not None:
+                service_meta[feature] = meta[feature]
         result.metadata["service"] = service_meta
         return SamplingResponse(
             request_id=request.request_id,
@@ -834,8 +816,8 @@ class SamplingService:
             degraded_reason=outcome.degraded_reason,
             build_seconds=outcome.build_seconds,
             sampling_seconds=sampling_seconds,
-            fidelity_bound=fidelity_bound,
-            noise=response_noise,
+            fidelity_bound=(meta.get("approximation") or {}).get("fidelity_bound"),
+            noise=(meta.get("noise") or {}).get("model"),
         )
 
     # ------------------------------------------------------------------

@@ -420,7 +420,7 @@ def _bench_serving(
     clients: int, seed: int, smoke: bool, root: str
 ) -> Dict:
     """The closed-loop serving section: one run per worker count."""
-    from .__main__ import resolve_circuit
+    from .api import resolve_circuit
 
     if smoke:
         workload = [("qft_8", 2_000), ("grover_4", 1_000), ("ghz_8", 1_000)]

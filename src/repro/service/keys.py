@@ -12,12 +12,13 @@ semantically identical inputs.  Three layers feed it:
    term by term, measurement and barrier placement (barriers fence the
    optimizer, so they can change the compiled circuit and hence the
    float-exact artifact).
-2. **The build configuration** — normalisation scheme, optimizer on/off,
-   initial state, and the approximation contract all change the produced
-   DD.  An ε-approximated artifact must *never* be served for an exact
-   request (or for a different ε), so an enabled
-   :class:`~repro.dd.approximation.ApproximationConfig` is folded into
-   the key; a disabled one (``epsilon = 0``) adds nothing, keeping every
+2. **The build configuration** — a
+   :class:`~repro.simulators.build_spec.BuildSpec`: normalisation
+   scheme, optimizer on/off, initial state, and the approximation,
+   reorder and noise contracts all change the produced DD.  An
+   ε-approximated artifact must *never* be served for an exact request
+   (or for a different ε), so enabled features are folded into the key;
+   a disabled one (``epsilon = 0`` …) adds nothing, keeping every
    pre-existing exact key stable.
 3. **The contract versions** — the package version and the
    :data:`~repro.perf.compiled_dd.ARTIFACT_VERSION` serialisation
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -45,14 +46,12 @@ from ..circuit.operations import (
     Measurement,
     Operation,
 )
-from ..dd.approximation import ApproximationConfig
 from ..dd.normalization import NormalizationScheme
-from ..dd.reorder import ReorderConfig
 from ..exceptions import SamplingError
-from ..noise.model import NoiseModel
 from ..perf.compiled_dd import ARTIFACT_VERSION
+from ..simulators.build_spec import BuildSpec
 
-__all__ = ["ARTIFACT_KEY_VERSION", "circuit_fingerprint", "cache_key"]
+__all__ = ["ARTIFACT_KEY_VERSION", "circuit_fingerprint", "cache_key", "spec_key"]
 
 #: Bump when the fingerprint *encoding itself* changes (field order,
 #: float representation, …); folded into every fingerprint.
@@ -115,63 +114,66 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
     return hasher.hexdigest()
 
 
+def spec_key(
+    circuit: QuantumCircuit,
+    spec: BuildSpec,
+    package_version: Optional[str] = None,
+) -> str:
+    """The artifact-store key: circuit fingerprint + build spec + versions.
+
+    The byte layout, in order: the fingerprint, the scheme, ``opt`` or
+    ``raw``, the initial state, :data:`ARTIFACT_VERSION`, the package
+    version, then the enabled features
+    (:meth:`~repro.simulators.build_spec.BuildSpec.fold_key`).  The
+    engine (``spec.kernel``) is left out: both engines build
+    bit-identical artifacts.  ``package_version`` defaults to
+    ``repro.__version__``; tests override it to exercise
+    version-mismatch invalidation.
+    """
+    hasher = hashlib.sha256()
+    hasher.update(b"repro-artifact-key")
+    hasher.update(circuit_fingerprint(circuit).encode("ascii"))
+    hasher.update(spec.scheme.value.encode("ascii"))
+    hasher.update(b"opt" if spec.optimize else b"raw")
+    hasher.update(struct.pack("<q", int(spec.initial_state)))
+    hasher.update(struct.pack("<i", ARTIFACT_VERSION))
+    version = package_version if package_version is not None else _package_version
+    hasher.update(version.encode("utf-8"))
+    spec.fold_key(hasher)
+    return hasher.hexdigest()
+
+
 def cache_key(
     circuit: QuantumCircuit,
     scheme: NormalizationScheme = NormalizationScheme.L2,
     optimize: bool = True,
     initial_state: int = 0,
     package_version: Optional[str] = None,
-    approximation: Optional[ApproximationConfig] = None,
-    reorder: Optional[ReorderConfig] = None,
-    noise: Optional[NoiseModel] = None,
+    approximation: Any = None,
+    reorder: Any = None,
+    noise: Any = None,
 ) -> str:
-    """The artifact-store key: circuit fingerprint + build config + versions.
+    """:func:`spec_key` of the settings, parsed by ``BuildSpec.of``.
 
-    ``package_version`` defaults to ``repro.__version__``; tests override
-    it to exercise version-mismatch invalidation.  An *enabled*
-    ``approximation`` config (``epsilon > 0``) is hashed into the key —
-    epsilon bit-exactly, plus the strategy knobs — so approximate
-    artifacts live in a separate namespace from exact ones.  An *enabled*
-    ``reorder`` config is folded the same way (budget, cadence, trigger
-    knobs): a reordered artifact stores level-space arrays plus its
-    qubit permutation, so it must never be served for a fixed-order
-    request.  An *enabled* ``noise`` model is folded as its full
-    canonical strength tuple (:meth:`~repro.noise.NoiseModel.strengths`,
-    IEEE-754 bit-exact, readout rates included): a noisy artifact stores
-    the *mixed-state* distribution and must never be served for an exact
-    request, nor for a different noise model.  A ``None`` or disabled
-    config leaves the digest byte-identical to the historic exact key.
+    The features take any spelling
+    :meth:`~repro.simulators.build_spec.BuildSpec.of` does (configs,
+    bare numbers, bools, mappings).  An *enabled* approximation config
+    is folded bit-exactly (epsilon plus the strategy knobs), so
+    approximate artifacts never share a key with exact ones; an
+    *enabled* reorder config likewise (a reordered artifact stores
+    level-space arrays plus its permutation); an *enabled* noise model
+    as its full canonical strength tuple, with ``optimize`` forced off
+    as every noisy build runs the circuit as written — so
+    ``cache_key(c, noise=m)`` is the key the service stores noisy
+    artifacts under.  A ``None`` or disabled feature leaves the digest
+    byte-identical to the historic exact key.
     """
-    hasher = hashlib.sha256()
-    hasher.update(b"repro-artifact-key")
-    hasher.update(circuit_fingerprint(circuit).encode("ascii"))
-    hasher.update(scheme.value.encode("ascii"))
-    hasher.update(b"opt" if optimize else b"raw")
-    hasher.update(struct.pack("<q", int(initial_state)))
-    hasher.update(struct.pack("<i", ARTIFACT_VERSION))
-    version = package_version if package_version is not None else _package_version
-    hasher.update(version.encode("utf-8"))
-    if approximation is not None and approximation.enabled:
-        hasher.update(b"approx")
-        _hash_floats(hasher, (approximation.epsilon,))
-        hasher.update(struct.pack("<i", approximation.interval))
-        hasher.update(
-            struct.pack(
-                "<q",
-                -1
-                if approximation.node_budget is None
-                else approximation.node_budget,
-            )
-        )
-    if reorder is not None and reorder.enabled:
-        hasher.update(b"reorder")
-        hasher.update(struct.pack("<q", reorder.budget))
-        hasher.update(struct.pack("<i", reorder.interval))
-        hasher.update(struct.pack("<q", reorder.min_nodes))
-        hasher.update(
-            struct.pack("<i", (2 if reorder.static else 0) | (1 if reorder.dynamic else 0))
-        )
-    if noise is not None and noise.enabled:
-        hasher.update(b"noise")
-        _hash_floats(hasher, noise.strengths())
-    return hasher.hexdigest()
+    spec = BuildSpec.of(
+        scheme=scheme,
+        optimize=optimize,
+        initial_state=initial_state,
+        approximation=approximation,
+        reorder=reorder,
+        noise=noise,
+    )
+    return spec_key(circuit, spec, package_version)

@@ -154,7 +154,6 @@ class PoolConfig:
         cache_dir: Optional[str] = None,
         max_cache_bytes: int = DEFAULT_MAX_BYTES,
         hot_entries: int = 8,
-        kernel: str = "auto",
         request_workers: int = 2,
         build_workers: int = 1,
         max_qubits: int = 64,
@@ -165,7 +164,6 @@ class PoolConfig:
         self.cache_dir = cache_dir
         self.max_cache_bytes = max_cache_bytes
         self.hot_entries = hot_entries
-        self.kernel = kernel
         self.request_workers = request_workers
         self.build_workers = build_workers
         self.max_qubits = max_qubits
@@ -196,8 +194,7 @@ def _worker_main(
     """A worker process: one SamplingService, tasks in, replies out."""
     # The parent owns Ctrl-C; workers drain via their queue sentinel.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from .api import SamplingService
-    from .__main__ import _request_from_record
+    from .api import SamplingRequest, SamplingService
 
     service = SamplingService(
         cache_dir=config.cache_dir,
@@ -248,9 +245,7 @@ def _worker_main(
                 # the invariant holds even for records that reach a
                 # queue some other way.
                 _guard_qasm_spec(record.get("circuit"), config.qasm_file_root)
-                request = _request_from_record(
-                    record, default_kernel=config.kernel
-                )
+                request = SamplingRequest.from_record(record)
             except (ReproError, ValueError, OSError) as error:
                 emit(
                     task_id,
@@ -413,7 +408,7 @@ class WorkerPool:
             cached = self._routing_cache.get(memo_key)
         if cached is not None:
             return cached
-        from .__main__ import resolve_circuit
+        from .api import resolve_circuit
         from .keys import cache_key
 
         circuit = resolve_circuit(record["circuit"])

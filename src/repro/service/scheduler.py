@@ -44,7 +44,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import wait as _futures_wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -53,11 +53,9 @@ from .. import telemetry as _telemetry
 from ..circuit.circuit import QuantumCircuit
 from ..core.dd_sampler import DDSampler
 from ..dd.approximation import ApproximationConfig
-from ..dd.reorder import ReorderConfig
-from ..dd.normalization import NormalizationScheme
 from ..exceptions import MemoryOutError, ReproError, SamplingError
-from ..noise.model import NoiseModel
 from ..perf.compiled_dd import CompiledDD
+from ..simulators.build_spec import BuildSpec
 from ..simulators.dd_simulator import DDSimulator
 from ..simulators.density_simulator import (
     DensityMatrixSimulator,
@@ -180,36 +178,28 @@ class BuildScheduler:
         self,
         key: str,
         circuit: QuantumCircuit,
-        scheme: NormalizationScheme = NormalizationScheme.L2,
-        optimize: bool = True,
-        initial_state: int = 0,
-        kernel: str = "auto",
-        approximation: Optional[ApproximationConfig] = None,
-        reorder: Optional[ReorderConfig] = None,
-        noise: Optional[NoiseModel] = None,
+        spec: BuildSpec = BuildSpec(),
     ) -> "Future[BuildOutcome]":
         """The future for ``key``'s artifact, creating at most one job.
 
         The admission guard runs synchronously: an over-wide circuit
         raises :class:`AdmissionError` here, before a thread is spent.
-        ``kernel`` selects the engine for a cold build only — it is NOT
-        part of ``key`` (the engines are bit-identical, so artifacts are
+        ``key`` must be :func:`repro.service.keys.spec_key` of
+        ``circuit`` and ``spec`` (a checked
+        :class:`~repro.simulators.build_spec.BuildSpec`).  The engine,
+        ``spec.kernel``, applies to a cold build only — it is NOT part of
+        ``key`` (the engines are bit-identical, so artifacts are
         interchangeable); coalesced waiters share whichever engine the
         first request chose, and the stored artifact's metadata records
-        it as ``meta["engine"]``.  ``approximation`` (an *enabled*
-        config) IS part of the artifact contract: the caller must have
-        folded it into ``key`` (see :func:`repro.service.keys.cache_key`)
-        — an ε-approximated artifact never shares a key with an exact
-        one.  ``reorder`` likewise: a reordered artifact stores
-        level-space arrays plus its permutation under a reorder-keyed
-        digest, and its ``meta["reorder"]`` travels with the artifact so
-        warm hits can unpermute without rebuilding.  ``noise`` (an
-        *enabled* :class:`~repro.noise.NoiseModel`, already folded into
-        ``key`` by the caller) routes the build through the
-        density-matrix simulator; noisy builds skip the degradation
-        ladder entirely — no pure-state fallback can represent the mixed
-        state — so a memory blowout is a rejection, not a degraded
-        answer.
+        it as ``meta["engine"]``.  Every enabled feature IS part of the
+        key: an ε-approximated artifact never shares a key with an exact
+        one, and a reordered artifact stores level-space arrays whose
+        ``meta["reorder"]`` permutation travels with it so warm hits can
+        unpermute without rebuilding.  ``spec.noise`` routes the build
+        through the density-matrix simulator; noisy builds skip the
+        degradation ladder entirely — no pure-state fallback can
+        represent the mixed state — so a memory blowout is a rejection,
+        not a degraded answer.
         """
         if circuit.num_qubits > self.policy.max_qubits:
             with self._lock:
@@ -224,10 +214,7 @@ class BuildScheduler:
             if future is not None:
                 self._stats["coalesced"] += 1
                 return future
-            future = self._executor.submit(
-                self._run_job, key, circuit, scheme, optimize, initial_state,
-                kernel, approximation, reorder, noise,
-            )
+            future = self._executor.submit(self._run_job, key, circuit, spec)
             self._in_flight[key] = future
             future.add_done_callback(lambda _f, _key=key: self._retire(_key))
             return future
@@ -289,144 +276,32 @@ class BuildScheduler:
                 session.registry.counter("service.builds").inc(amount)
 
     def _run_job(
-        self,
-        key: str,
-        circuit: QuantumCircuit,
-        scheme: NormalizationScheme,
-        optimize: bool,
-        initial_state: int,
-        kernel: str = "auto",
-        approximation: Optional[ApproximationConfig] = None,
-        reorder: Optional[ReorderConfig] = None,
-        noise: Optional[NoiseModel] = None,
+        self, key: str, circuit: QuantumCircuit, spec: BuildSpec
     ) -> BuildOutcome:
         with _telemetry.activate(self._telemetry):
-            if self.store is not None:
-                stored = self.store.get(key)
-                if stored is not None:
-                    self._count("store_hits")
-                    return BuildOutcome(
-                        key=key,
-                        backend="dd",
-                        source="disk",
-                        compiled=stored.compiled,
-                        meta=stored.meta,
-                    )
-            return self._build_with_ladder(
-                key, circuit, scheme, optimize, initial_state, kernel,
-                approximation, reorder, noise,
-            )
+            stored = self._stored(key)
+            if stored is not None:
+                return stored
+            return self._build_with_ladder(key, circuit, spec)
 
-    def _build_with_ladder(
-        self,
-        key: str,
-        circuit: QuantumCircuit,
-        scheme: NormalizationScheme,
-        optimize: bool,
-        initial_state: int,
-        kernel: str = "auto",
-        approximation: Optional[ApproximationConfig] = None,
-        reorder: Optional[ReorderConfig] = None,
-        noise: Optional[NoiseModel] = None,
-    ) -> BuildOutcome:
-        attempts = 0
-        start = time.perf_counter()
-        while True:
-            attempts += 1
-            try:
-                outcome = self._build_dd(
-                    key, circuit, scheme, optimize, initial_state, kernel,
-                    approximation, reorder, noise,
-                )
-                outcome.attempts = attempts
-                outcome.build_seconds = time.perf_counter() - start
-                return outcome
-            except (MemoryOutError, MemoryError) as error:
-                self._count("build_failures")
-                if noise is not None:
-                    # No rung can answer a noisy request: approximation's
-                    # fidelity accounting, the dense statevector, and the
-                    # stabilizer backend are all pure-state machinery and
-                    # cannot represent the mixed state the client asked
-                    # to sample.  Reject instead of silently de-noising.
-                    raise AdmissionError(
-                        f"noisy density build failed ({error}); noisy "
-                        "requests have no degradation fallback"
-                    )
-                outcome = None
-                if approximation is None and self.policy.approx_epsilon > 0.0:
-                    # The approximate-DD rung: only for requests that
-                    # asked for an exact build (an approximate build that
-                    # still blows the limit falls straight through).
-                    outcome = self._try_approximate(
-                        circuit, scheme, optimize, initial_state,
-                        reason=str(error),
-                    )
-                if outcome is None:
-                    outcome = self._degrade(
-                        key, circuit, optimize, initial_state,
-                        reason=str(error),
-                    )
-                outcome.attempts = attempts
-                outcome.build_seconds = time.perf_counter() - start
-                return outcome
-            except ReproError:
-                # Deterministic: the same circuit fails the same way.
-                self._count("build_failures")
-                raise
-            except Exception:
-                self._count("build_failures")
-                if attempts > self.policy.max_retries:
-                    raise
-                self._count("retries")
-                time.sleep(self.policy.retry_backoff_seconds * attempts)
+    def _stored(self, key: str) -> Optional[BuildOutcome]:
+        """The artifact under ``key`` from the persistent store, if any."""
+        stored = self.store.get(key) if self.store is not None else None
+        if stored is None:
+            return None
+        self._count("store_hits")
+        return BuildOutcome(
+            key=key,
+            backend="dd",
+            source="disk",
+            compiled=stored.compiled,
+            meta=stored.meta,
+        )
 
-    def _build_dd(
-        self,
-        key: str,
-        circuit: QuantumCircuit,
-        scheme: NormalizationScheme,
-        optimize: bool,
-        initial_state: int,
-        kernel: str = "auto",
-        approximation: Optional[ApproximationConfig] = None,
-        reorder: Optional[ReorderConfig] = None,
-        noise: Optional[NoiseModel] = None,
+    def _built(
+        self, key: str, compiled: CompiledDD, meta: Dict[str, Any]
     ) -> BuildOutcome:
-        """One strong simulation + flatten; may raise for the ladder."""
-        self._count("build_attempts")
-        if noise is not None:
-            return self._build_density(key, circuit, initial_state, noise)
-        if approximation is not None or reorder is not None:
-            # Pruning and sifting rounds need the edge representation
-            # mid-build, so these builds always run the python engine.
-            kernel = "auto"
-        # The mid-build guard aborts a doomed build early; a cap of 0
-        # (used by tests to force degradation) stays with the post-build
-        # check below, since node_limit needs a positive ceiling.
-        node_limit = self.policy.max_build_nodes
-        simulator = DDSimulator(
-            scheme=scheme,
-            optimize=optimize,
-            kernel=kernel,
-            approximation=approximation,
-            node_limit=node_limit if node_limit else None,
-            reorder=reorder,
-        )
-        state = simulator.run(circuit, initial_state=initial_state)
-        compiled = DDSampler(state).compiled()
-        limit = self.policy.max_build_nodes
-        if limit is not None and compiled.size > limit:
-            # MemoryError (not MemoryOutError, whose constructor wants byte
-            # counts) so the ladder treats an over-large DD like a real OOM.
-            raise MemoryError(
-                f"built DD has {compiled.size} flattened nodes, over the "
-                f"service limit of {limit} (ServicePolicy.max_build_nodes)"
-            )
-        meta = self._extract_meta(
-            simulator, circuit, state, compiled, scheme, optimize,
-            initial_state, kernel, approximation, reorder,
-        )
+        """Count a finished build and persist its artifact (best-effort)."""
         # Counted only once the strong simulation has actually produced
         # a usable artifact: counting at attempt start double-counted
         # ``service.builds`` whenever a failure *after* the simulation
@@ -447,12 +322,89 @@ class BuildScheduler:
             key=key, backend="dd", source="built", compiled=compiled, meta=meta
         )
 
+    def _build_with_ladder(
+        self, key: str, circuit: QuantumCircuit, spec: BuildSpec
+    ) -> BuildOutcome:
+        attempts = 0
+        start = time.perf_counter()
+        while True:
+            attempts += 1
+            try:
+                outcome = self._build_dd(key, circuit, spec)
+                outcome.attempts = attempts
+                outcome.build_seconds = time.perf_counter() - start
+                return outcome
+            except (MemoryOutError, MemoryError) as error:
+                self._count("build_failures")
+                if spec.noise is not None:
+                    # No rung can answer a noisy request: approximation's
+                    # fidelity accounting, the dense statevector, and the
+                    # stabilizer backend are all pure-state machinery and
+                    # cannot represent the mixed state the client asked
+                    # to sample.  Reject instead of silently de-noising.
+                    raise AdmissionError(
+                        f"noisy density build failed ({error}); noisy "
+                        "requests have no degradation fallback"
+                    )
+                outcome = None
+                if (
+                    spec.approximation is None
+                    and self.policy.approx_epsilon > 0.0
+                ):
+                    # The approximate-DD rung: only for requests that
+                    # asked for an exact build (an approximate build that
+                    # still blows the limit falls straight through).
+                    outcome = self._try_approximate(circuit, spec, str(error))
+                if outcome is None:
+                    outcome = self._degrade(key, circuit, spec, str(error))
+                outcome.attempts = attempts
+                outcome.build_seconds = time.perf_counter() - start
+                return outcome
+            except ReproError:
+                # Deterministic: the same circuit fails the same way.
+                self._count("build_failures")
+                raise
+            except Exception:
+                self._count("build_failures")
+                if attempts > self.policy.max_retries:
+                    raise
+                self._count("retries")
+                time.sleep(self.policy.retry_backoff_seconds * attempts)
+
+    def _build_dd(
+        self, key: str, circuit: QuantumCircuit, spec: BuildSpec
+    ) -> BuildOutcome:
+        """One strong simulation + flatten; may raise for the ladder."""
+        self._count("build_attempts")
+        if spec.noise is not None:
+            return self._build_density(key, circuit, spec)
+        # The mid-build guard aborts a doomed build early; a cap of 0
+        # (used by tests to force degradation) stays with the post-build
+        # check below, since node_limit needs a positive ceiling.
+        node_limit = self.policy.max_build_nodes
+        simulator = DDSimulator(
+            scheme=spec.scheme,
+            optimize=spec.optimize,
+            kernel=spec.kernel,
+            approximation=spec.approximation,
+            node_limit=node_limit if node_limit else None,
+            reorder=spec.reorder,
+        )
+        state = simulator.run(circuit, initial_state=spec.initial_state)
+        compiled = DDSampler(state).compiled()
+        limit = self.policy.max_build_nodes
+        if limit is not None and compiled.size > limit:
+            # MemoryError (not MemoryOutError, whose constructor wants byte
+            # counts) so the ladder treats an over-large DD like a real OOM.
+            raise MemoryError(
+                f"built DD has {compiled.size} flattened nodes, over the "
+                f"service limit of {limit} (ServicePolicy.max_build_nodes)"
+            )
+        meta = self._extract_meta(simulator, circuit, state, compiled, spec)
+        return self._built(key, compiled, meta)
+
     def _build_density(
-        self,
-        key: str,
-        circuit: QuantumCircuit,
-        initial_state: int,
-        noise: NoiseModel,
+        self, key: str, circuit: QuantumCircuit, spec: BuildSpec
     ) -> BuildOutcome:
         """The noisy build: density DD → diagonal → compiled artifact.
 
@@ -463,11 +415,12 @@ class BuildScheduler:
         :class:`~repro.perf.compiled_dd.CompiledDD` stores and samples
         exactly like an exact artifact — only the key namespace differs.
         """
+        noise = spec.noise
         node_limit = self.policy.max_build_nodes
         simulator = DensityMatrixSimulator(
             noise=noise, node_limit=node_limit if node_limit else None
         )
-        rho = simulator.run(circuit, initial_state=initial_state)
+        rho = simulator.run(circuit, initial_state=spec.initial_state)
         compiled = compile_noisy_sampler(rho, noise)
         if node_limit is not None and compiled.size > node_limit:
             raise MemoryError(
@@ -480,7 +433,7 @@ class BuildScheduler:
             "num_qubits": circuit.num_qubits,
             "dd_nodes": rho.node_count,
             "compiled_size": compiled.size,
-            "initial_state": initial_state,
+            "initial_state": spec.initial_state,
             "circuit_name": getattr(circuit, "name", None),
             "engine": "density",
             "noise": {
@@ -489,15 +442,7 @@ class BuildScheduler:
                 "kraus_applications": stats.noise_kraus_applications,
             },
         }
-        self._count("builds")
-        if self.store is not None:
-            try:
-                self.store.put(key, compiled, meta=meta)
-            except Exception:
-                self._count("store_put_failures")
-        return BuildOutcome(
-            key=key, backend="dd", source="built", compiled=compiled, meta=meta
-        )
+        return self._built(key, compiled, meta)
 
     @staticmethod
     def _extract_meta(
@@ -505,12 +450,7 @@ class BuildScheduler:
         circuit: QuantumCircuit,
         state: Any,
         compiled: CompiledDD,
-        scheme: NormalizationScheme,
-        optimize: bool,
-        initial_state: int,
-        kernel: str,
-        approximation: Optional[ApproximationConfig] = None,
-        reorder: Optional[ReorderConfig] = None,
+        spec: BuildSpec,
     ) -> Dict[str, Any]:
         """Build-provenance metadata; never raises past this frame.
 
@@ -526,9 +466,9 @@ class BuildScheduler:
             "num_qubits": circuit.num_qubits,
             "dd_nodes": getattr(state, "node_count", None),
             "compiled_size": compiled.size,
-            "scheme": scheme.value,
-            "optimize": optimize,
-            "initial_state": initial_state,
+            "scheme": spec.scheme.value,
+            "optimize": spec.optimize,
+            "initial_state": spec.initial_state,
             "circuit_name": getattr(circuit, "name", None),
         }
         # Provenance only: the engines are bit-identical, so the cache
@@ -537,16 +477,17 @@ class BuildScheduler:
         # simulator doubles (tests, degradation shims) working.
         try:
             meta["engine"] = getattr(
-                simulator, "resolved_kernel", lambda: kernel
+                simulator, "resolved_kernel", lambda: spec.kernel
             )()
         except Exception:
-            meta["engine"] = kernel
+            meta["engine"] = spec.kernel
         try:
             meta["kernel_fallbacks"] = getattr(
                 getattr(simulator, "stats", None), "kernel_fallbacks", 0
             )
         except Exception:
             meta["kernel_fallbacks"] = 0
+        approximation, reorder = spec.approximation, spec.reorder
         if approximation is not None:
             # The approximation contract travels WITH the artifact: a
             # store hit must be able to report the fidelity bound without
@@ -593,12 +534,7 @@ class BuildScheduler:
     # ------------------------------------------------------------------
 
     def _try_approximate(
-        self,
-        circuit: QuantumCircuit,
-        scheme: NormalizationScheme,
-        optimize: bool,
-        initial_state: int,
-        reason: str,
+        self, circuit: QuantumCircuit, spec: BuildSpec, reason: str
     ) -> Optional[BuildOutcome]:
         """The approximate-DD rung: rebuild with ε pruning, ε-keyed.
 
@@ -607,39 +543,26 @@ class BuildScheduler:
         ``key`` is the ε-specific cache key — deliberately different
         from the exact request key, so the API layer must hot-cache it
         under ``outcome.key`` and the artifact store never cross-serves
-        the two.
+        the two.  The rung builds without reordering, on the python
+        engine.
         """
-        from .keys import cache_key
+        from .keys import spec_key
 
         config = ApproximationConfig(epsilon=self.policy.approx_epsilon)
-        approx_key = cache_key(
-            circuit,
-            scheme=scheme,
-            optimize=optimize,
-            initial_state=initial_state,
-            approximation=config,
+        approx_spec = replace(
+            spec, kernel="auto", approximation=config, reorder=None
         )
+        approx_key = spec_key(circuit, approx_spec)
         degraded_reason = (
             f"approximate DD (epsilon={config.epsilon}): {reason}"
         )
-        if self.store is not None:
-            stored = self.store.get(approx_key)
-            if stored is not None:
-                self._count("store_hits")
-                self._count("approx_degraded")
-                return BuildOutcome(
-                    key=approx_key,
-                    backend="dd",
-                    source="disk",
-                    compiled=stored.compiled,
-                    meta=stored.meta,
-                    degraded_reason=degraded_reason,
-                )
+        outcome = self._stored(approx_key)
+        if outcome is not None:
+            outcome.degraded_reason = degraded_reason
+            self._count("approx_degraded")
+            return outcome
         try:
-            outcome = self._build_dd(
-                approx_key, circuit, scheme, optimize, initial_state,
-                "auto", config,
-            )
+            outcome = self._build_dd(approx_key, circuit, approx_spec)
         except (MemoryOutError, MemoryError):
             # Even the pruned DD blows the limit; next rung.
             self._count("build_failures")
@@ -655,21 +578,16 @@ class BuildScheduler:
         return outcome
 
     def _degrade(
-        self,
-        key: str,
-        circuit: QuantumCircuit,
-        optimize: bool,
-        initial_state: int,
-        reason: str,
+        self, key: str, circuit: QuantumCircuit, spec: BuildSpec, reason: str
     ) -> BuildOutcome:
         """DD build failed on memory: statevector, then stabilizer, then give up."""
         dense_bytes = 16 * (2**circuit.num_qubits)
         if dense_bytes <= self.policy.dense_memory_cap_bytes:
             simulator = StatevectorSimulator(
                 memory_cap_bytes=self.policy.dense_memory_cap_bytes,
-                optimize=optimize,
+                optimize=spec.optimize,
             )
-            statevector = simulator.run(circuit, initial_state=initial_state)
+            statevector = simulator.run(circuit, initial_state=spec.initial_state)
             self._count("degraded")
             return BuildOutcome(
                 key=key,
@@ -678,7 +596,7 @@ class BuildScheduler:
                 statevector=statevector,
                 degraded_reason=reason,
             )
-        if initial_state == 0:
+        if spec.initial_state == 0:
             try:
                 from ..simulators.stabilizer import StabilizerSimulator
 

@@ -34,6 +34,7 @@ from ..dd.reorder import (
 )
 from ..dd.vector_dd import VectorDD
 from .base import SimulationStats, StrongSimulator
+from .build_spec import BuildSpec
 
 __all__ = ["DDSimulator"]
 
@@ -75,8 +76,6 @@ class DDSimulator(StrongSimulator):
     purely a performance knob.
     """
 
-    KERNELS = ("auto", "vector", "python")
-
     def __init__(
         self,
         scheme: NormalizationScheme = NormalizationScheme.L2,
@@ -91,32 +90,16 @@ class DDSimulator(StrongSimulator):
         node_limit: Optional[int] = None,
         reorder: Optional[ReorderConfig] = None,
     ):
-        if kernel not in self.KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {self.KERNELS}"
-            )
-        if approximation is not None and not isinstance(
-            approximation, ApproximationConfig
-        ):
-            approximation = ApproximationConfig.from_value(approximation)
-        if approximation is not None and not approximation.enabled:
-            # epsilon = 0 means "exact" everywhere in the stack.
-            approximation = None
-        if approximation is not None and kernel == "vector":
-            raise ValueError(
-                "approximation runs on the python engine (pruning needs the "
-                "edge representation mid-build); kernel='vector' is unsupported"
-            )
-        if reorder is not None and not isinstance(reorder, ReorderConfig):
-            reorder = ReorderConfig.from_value(reorder)
-        if reorder is not None and not reorder.enabled:
-            # A disabled config means "fixed order" everywhere in the stack.
-            reorder = None
-        if reorder is not None and kernel == "vector":
-            raise ValueError(
-                "reordering runs on the python engine (sifting needs the "
-                "edge representation mid-build); kernel='vector' is unsupported"
-            )
+        # Engine conflicts (kernel='vector' with approximation or
+        # reordering) raise BuildSpecError, a ValueError.
+        spec = BuildSpec.of(
+            scheme=scheme,
+            optimize=optimize,
+            kernel=kernel,
+            approximation=approximation,
+            reorder=reorder,
+        )
+        spec.check()
         if node_limit is not None and node_limit < 1:
             raise ValueError(f"node_limit must be >= 1, got {node_limit}")
         self.package = package if package is not None else DDPackage(scheme=scheme)
@@ -126,7 +109,7 @@ class DDSimulator(StrongSimulator):
         #: Run the compile pipeline (:mod:`repro.compile`) on every input
         #: circuit before simulation.  The rewrite is exactly equivalent;
         #: disable for apples-to-apples benchmarking of the raw circuit.
-        self.optimize = optimize
+        self.optimize = spec.optimize
         #: Garbage-collect the package when the unique table exceeds this
         #: many nodes (0 disables).  Long iterative circuits (Grover)
         #: otherwise retain every intermediate state ever built.
@@ -138,7 +121,7 @@ class DDSimulator(StrongSimulator):
         #: Optional :class:`~repro.dd.approximation.ApproximationConfig`;
         #: when enabled, :meth:`run` interleaves pruning rounds with gate
         #: application and records the fidelity bound in :attr:`stats`.
-        self.approximation = approximation
+        self.approximation = spec.approximation
         #: Build-time node-count ceiling.  Exceeding it raises
         #: :class:`MemoryError` *during* the build (checked every
         #: ``NODE_LIMIT_CHECK_INTERVAL`` gates and at the end) so callers
@@ -149,7 +132,7 @@ class DDSimulator(StrongSimulator):
         #: circuit connectivity (``static``) and/or interleaves sifting
         #: rounds with gate application (``dynamic``), recording the
         #: final level-to-qubit permutation in :attr:`stats`.
-        self.reorder = reorder
+        self.reorder = spec.reorder
         self._stats = SimulationStats()
 
     @property

@@ -48,6 +48,7 @@ from ..noise.channels import KrausChannel, dephasing
 from ..noise.model import NoiseModel
 from ..perf.compiled_dd import CompiledDD, compile_probability_edge
 from .base import SimulationStats, StrongSimulator
+from .build_spec import BuildSpec
 
 __all__ = [
     "DENSITY_RELATIVE_TOLERANCE",
@@ -119,9 +120,7 @@ class DensityMatrixSimulator(StrongSimulator):
         telemetry: Optional["_telemetry.Telemetry"] = None,
         node_limit: Optional[int] = None,
     ):
-        noise = NoiseModel.from_value(noise)
-        if noise is not None and not noise.enabled:
-            noise = None
+        noise = BuildSpec.of(noise=noise).noise
         if node_limit is not None and node_limit < 1:
             raise ValueError(f"node_limit must be >= 1, got {node_limit}")
         self.noise = noise
@@ -354,7 +353,7 @@ def compile_noisy_sampler(
     )
     with span:
         diagonal = rho.diagonal()
-        noise = NoiseModel.from_value(noise)
+        noise = BuildSpec.of(noise=noise).noise
         if noise is not None and noise.has_readout_error:
             gate = Gate(
                 name="readout",

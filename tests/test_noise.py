@@ -437,7 +437,7 @@ class TestService:
 
 
 def test_jsonl_record_round_trips_noise_model():
-    from repro.service.__main__ import _request_from_record
+    from repro.service.api import SamplingRequest
 
     record = {
         "circuit": "ghz_3",
@@ -445,7 +445,7 @@ def test_jsonl_record_round_trips_noise_model():
         "seed": 4,
         "noise_model": {"depolarizing": 0.02, "readout": {"p01": 0.01}},
     }
-    request = _request_from_record(record)
+    request = SamplingRequest.from_record(record)
     assert request.noise_model == {
         "depolarizing": 0.02,
         "readout": {"p01": 0.01},

@@ -404,9 +404,9 @@ def _in_process_body(service, record, wire_body, extra):
     """``json.dumps(to_dict(top) | extra) + "\\n"`` for ``record`` served
     in this process at the same seed, with the server's timings and cache
     tier (the only fields that legitimately differ) taken from the wire."""
-    from repro.service.__main__ import _request_from_record
+    from repro.service.api import SamplingRequest
 
-    response = service.sample(_request_from_record(record))
+    response = service.sample(SamplingRequest.from_record(record))
     wire = json.loads(wire_body)
     response.build_seconds = wire["build_seconds"]
     response.sampling_seconds = wire["sampling_seconds"]

@@ -23,7 +23,12 @@ dead end:
   repository's CLIs (``python -m repro.service``, ``repro-sample``,
   ``python -m repro.telemetry.report`` …) must only use flags that the
   CLI's argument parser actually defines, so a doc cannot drift ahead
-  of (or behind) the code it demonstrates.
+  of (or behind) the code it demonstrates,
+* **the combination rules** — the message column of the table under a
+  ``Combination rules`` heading must equal the messages of
+  ``repro.simulators.build_spec.RULES``, row for row and in order, and
+  ``docs/api.md`` must carry that table, so the docs cannot promise a
+  rejection the code does not make (or miss one it does).
 
 Intentionally dependency-free, like ``tools/check_docstrings.py``.
 
@@ -75,6 +80,10 @@ _PATHLIKE = re.compile(
     r"^(?:src|docs|tools|tests|examples|benchmarks)/[\w./\-]+$"
 )
 _MODULE = re.compile(r"^repro(?:\.\w+)+$")
+
+#: The heading of the rule table, and the document that must carry it.
+RULE_TABLE_HEADING = "Combination rules"
+RULE_TABLE_DOC = REPO_ROOT / "docs" / "api.md"
 _SLUG_STRIP = re.compile(r"[^\w\- ]")
 
 
@@ -142,6 +151,36 @@ def _module_resolves(dotted: str) -> bool:
         if candidate.is_dir() or candidate.with_suffix(".py").is_file():
             return True
     return False
+
+
+def rule_table_rows(text: str) -> Optional[List[Tuple[int, str]]]:
+    """``(line, message)`` per rule-table row; ``None`` without the heading.
+
+    Rows are the table lines under the ``Combination rules`` heading
+    whose first cell is a row number; the message is the third cell,
+    with its code-span backticks removed.
+    """
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        heading = _HEADING.match(line)
+        if heading and heading.group(2) == RULE_TABLE_HEADING:
+            break
+    else:
+        return None
+    rows = []
+    for number, line in enumerate(lines[index + 1:], start=index + 2):
+        if _HEADING.match(line):
+            break
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) >= 3 and cells[0].isdigit():
+            rows.append((number, cells[2].strip("`")))
+    return rows
+
+
+def _code_rule_messages() -> List[str]:
+    from repro.simulators.build_spec import RULES
+
+    return [rule.message for rule in RULES]
 
 
 def _load_parser(spec: str) -> argparse.ArgumentParser:
@@ -261,11 +300,40 @@ class DocsChecker:
                     f"define it (valid: {', '.join(sorted(flags))})",
                 )
 
+    def _check_rule_table(self, doc: Path, text: str) -> None:
+        documented = rule_table_rows(text)
+        if documented is None:
+            if doc.resolve() == RULE_TABLE_DOC:
+                self._problem(
+                    doc, 1, f"missing the '{RULE_TABLE_HEADING}' rule table"
+                )
+            return
+        expected = _code_rule_messages()
+        for row, ((line, have), want) in enumerate(
+            zip(documented, expected), start=1
+        ):
+            if have != want:
+                self._problem(
+                    doc,
+                    line,
+                    f"rule table row {row} says {have!r}; "
+                    f"repro.simulators.build_spec.RULES has {want!r}",
+                )
+                return
+        if len(documented) != len(expected):
+            self._problem(
+                doc,
+                documented[-1][0] if documented else 1,
+                f"rule table has {len(documented)} rows; "
+                f"repro.simulators.build_spec.RULES has {len(expected)}",
+            )
+
     # -- driver --------------------------------------------------------
 
     def check_file(self, doc: Path) -> None:
         """Run every check against one markdown document."""
         text = doc.read_text(encoding="utf-8")
+        self._check_rule_table(doc, text)
         buffer = ""  # joins backslash-continued shell lines
         buffer_line = 0
         for number, line, in_fence in _iter_lines(text):
