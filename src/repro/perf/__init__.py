@@ -7,8 +7,10 @@
 * :mod:`repro.perf.parallel` — seed-stable chunked sampling: results are
   identical for any worker count because the chunk layout and per-chunk
   ``SeedSequence`` streams depend only on the seed and shot count.
-* :mod:`repro.perf.bench` — the regression harness behind
-  ``BENCH_sampling.json`` (``python -m repro.perf.bench``).
+* :mod:`repro.perf.bench` — the one in-tree benchmark harness behind
+  ``BENCH_sampling.json`` (``python -m repro.perf.bench``): every layer
+  of weak simulation timed once per circuit, each section checked, and
+  ``--gate`` running one section at gate size for ``make test``.
 """
 
 from .compiled_dd import DEFAULT_CACHE, CompiledDD, CompiledDDCache, compile_edge

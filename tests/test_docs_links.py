@@ -118,5 +118,25 @@ def test_checker_validates_continuation_lines(tmp_path):
     assert any("--imaginary-flag" in m for m in messages)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "```bash\npython -m repro.compile.bench --smoke\n```\n",
+        "run `python -m repro.service.bench --out x.json`\n",
+    ],
+)
+def test_checker_flags_commands_of_missing_modules(tmp_path, text):
+    messages = _problems_for(tmp_path, text)
+    assert any("no runnable module" in m for m in messages)
+
+
+def test_checker_accepts_commands_of_real_modules(tmp_path):
+    text = (
+        "```bash\npython -m repro.perf.bench --gate reorder\n```\n"
+        "`python -m repro.fuzz`\n"
+    )
+    assert _problems_for(tmp_path, text) == []
+
+
 def test_checker_skips_external_links(tmp_path):
     assert _problems_for(tmp_path, "[x](https://example.com/404)\n") == []

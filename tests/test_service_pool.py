@@ -106,6 +106,26 @@ def test_same_circuit_always_lands_on_one_worker(tmp_path):
     assert stats["shard_builds"] >= 1
 
 
+def test_repeats_after_a_build_answer_from_the_owning_workers_memory(tmp_path):
+    # Shard locality: once a circuit is built, every sequential repeat
+    # is answered from the memory of the worker that built it.
+    with WorkerPool(
+        workers=2, config=PoolConfig(cache_dir=str(tmp_path))
+    ) as pool:
+        first = _decoded(
+            pool.submit_record(_record("qft_4", 200, 0)).result(timeout=60)
+        )
+        repeats = [
+            _decoded(
+                pool.submit_record(_record("qft_4", 200, seed)).result(timeout=60)
+            )
+            for seed in range(1, 7)
+        ]
+    assert first["cache"] == "built"
+    assert [r["cache"] for r in repeats] == ["memory"] * len(repeats)
+    assert {r["worker"] for r in repeats} == {first["worker"]}
+
+
 # ---------------------------------------------------------------------------
 # Back-pressure and bad input
 # ---------------------------------------------------------------------------

@@ -63,11 +63,9 @@ DEFAULT_GLOBS = ("docs/*.md",)
 COMMAND_PARSERS: Dict[str, str] = {
     "repro-sample": "repro.cli:_build_parser",
     "repro-eval": "repro.evaluation.cli:_build_parser",
-    "python -m repro.service.bench": "repro.service.bench:_build_parser",
     "python -m repro.service": "repro.service.__main__:_build_parser",
     "python -m repro.telemetry.report": "repro.telemetry.report:_build_parser",
     "python -m repro.perf.bench": "repro.perf.bench:_build_parser",
-    "python -m repro.compile.bench": "repro.compile.bench:_build_parser",
     "python -m repro.fuzz": "repro.fuzz.__main__:_build_parser",
 }
 
@@ -80,6 +78,7 @@ _PATHLIKE = re.compile(
     r"^(?:src|docs|tools|tests|examples|benchmarks)/[\w./\-]+$"
 )
 _MODULE = re.compile(r"^repro(?:\.\w+)+$")
+_RUN_MODULE = re.compile(r"^python3? -m (repro(?:\.\w+)+)")
 
 #: The heading of the rule table, and the document that must carry it.
 RULE_TABLE_HEADING = "Combination rules"
@@ -151,6 +150,12 @@ def _module_resolves(dotted: str) -> bool:
         if candidate.is_dir() or candidate.with_suffix(".py").is_file():
             return True
     return False
+
+
+def _runnable(dotted: str) -> bool:
+    """Whether ``python -m dotted`` finds a module or package under ``src/``."""
+    path = REPO_ROOT / "src" / Path(*dotted.split("."))
+    return path.with_suffix(".py").is_file() or (path / "__main__.py").is_file()
 
 
 def rule_table_rows(text: str) -> Optional[List[Tuple[int, str]]]:
@@ -260,8 +265,18 @@ class DocsChecker:
                     f"'#{anchor}' in {anchor_doc.name})",
                 )
 
+    def _check_runs_module(self, doc: Path, line: int, text: str) -> bool:
+        """Flag ``python -m repro.x`` when nothing under ``src/`` runs it."""
+        match = _RUN_MODULE.match(text)
+        if match is None or _runnable(match.group(1)):
+            return False
+        self._problem(doc, line, f"no runnable module under src/: {match.group(0)}")
+        return True
+
     def _check_code_span(self, doc: Path, line: int, span: str) -> None:
         span = span.strip()
+        if self._check_runs_module(doc, line, span):
+            return
         if _PATHLIKE.match(span):
             candidate = span.split(":", 1)[0]  # allow path:line suffixes
             if not (REPO_ROOT / candidate).exists():
@@ -274,6 +289,8 @@ class DocsChecker:
 
     def _check_command(self, doc: Path, line: int, command_line: str) -> None:
         stripped = command_line.strip().lstrip("$ ").rstrip("\\").strip()
+        if self._check_runs_module(doc, line, stripped):
+            return
         matched = None
         for command in COMMAND_PARSERS:  # longest keys listed first
             if stripped.startswith(command):
