@@ -16,7 +16,7 @@ from ..exceptions import CircuitError
 from . import gates as g
 from .operations import Barrier, BaseOperation, DiagonalOperation, Measurement, Operation
 
-__all__ = ["QuantumCircuit"]
+__all__ = ["QuantumCircuit", "circuit_has_mid_circuit_measurement"]
 
 
 class QuantumCircuit:
@@ -397,3 +397,23 @@ class QuantumCircuit:
         if len(self._instructions) > 50:
             lines.append(f"  ... {len(self._instructions) - 50} more")
         return "\n".join(lines)
+
+
+def circuit_has_mid_circuit_measurement(circuit: QuantumCircuit) -> bool:
+    """Whether any measurement is followed by a unitary instruction.
+
+    The routing predicate: :meth:`BuildSpec.route
+    <repro.simulators.build_spec.BuildSpec.route>` sends such a circuit
+    to :class:`~repro.core.shot_executor.ShotExecutor` (or, with noise,
+    to the density path, which dephases at the measurement) instead of
+    sampling its final state.  One pass over the instruction list, no
+    compilation.  Barriers are ignored (they fence the optimizer, not
+    execution) and trailing measurements do not count.
+    """
+    seen_measurement = False
+    for instruction in circuit:
+        if isinstance(instruction, Measurement):
+            seen_measurement = True
+        elif seen_measurement and not isinstance(instruction, Barrier):
+            return True
+    return False

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import telemetry as _telemetry
-from ..circuit.circuit import QuantumCircuit
+from ..circuit.circuit import QuantumCircuit, circuit_has_mid_circuit_measurement
 from ..circuit.operations import Barrier, Measurement, Operation
 from ..dd.apply import GateApplier
 from ..dd.measure import MIN_COLLAPSE_PROBABILITY, collapse, qubit_probability
@@ -43,36 +43,13 @@ from .dd_sampler import DDSampler
 from ..dd.vector_dd import VectorDD
 from .results import SampleResult
 
-__all__ = ["ShotExecutor", "circuit_has_mid_circuit_measurement"]
+__all__ = ["ShotExecutor"]
 
 
 def _as_rng(seed: Union[int, np.random.Generator, None]) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def circuit_has_mid_circuit_measurement(circuit: QuantumCircuit) -> bool:
-    """Whether any measurement is followed by further unitary operations.
-
-    Dispatch predicate for callers (the CLI, the sampling service) that
-    must route measure-and-continue circuits through :class:`ShotExecutor`
-    instead of the terminal-measurement samplers.  Unlike constructing an
-    executor and reading :attr:`ShotExecutor.has_mid_circuit_measurement`,
-    this performs no compilation — it is one pass over the instruction
-    list.  Barriers are ignored (they fence the optimizer, not execution)
-    and trailing measurements do not count: only a measurement with a
-    later non-measurement instruction makes the circuit mid-circuit.
-    """
-    seen_measurement = False
-    for instruction in circuit:
-        if isinstance(instruction, Barrier):
-            continue
-        if isinstance(instruction, Measurement):
-            seen_measurement = True
-        elif seen_measurement:
-            return True
-    return False
 
 
 @dataclass
@@ -84,7 +61,13 @@ class _Segment:
 
 
 class ShotExecutor:
-    """Executes measure-and-continue circuits shot by shot."""
+    """Executes measure-and-continue circuits shot by shot.
+
+    Every shot starts from ``|initial_state⟩``; the compile pipeline is
+    an exact unitary rewrite, so optimizing first holds for any input
+    state.  A shot's record holds each qubit's last measured value, and
+    qubits never measured read 0.
+    """
 
     def __init__(
         self,
@@ -93,6 +76,7 @@ class ShotExecutor:
         optimize: bool = True,
         telemetry: Optional["_telemetry.Telemetry"] = None,
         kernel: str = "auto",
+        initial_state: int = 0,
     ):
         from ..simulators.build_spec import KERNELS
 
@@ -114,6 +98,12 @@ class ShotExecutor:
                 self.compile_stats = rewrite.to_dict()
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
+        self.initial_state = initial_state
+        #: Whether a measurement of the (optimized) circuit is followed
+        #: by further gates; when not, :meth:`run` samples the end state.
+        self.has_mid_circuit_measurement = circuit_has_mid_circuit_measurement(
+            circuit
+        )
         self.package = DDPackage(scheme=scheme)
         self._applier = GateApplier(self.package, self.num_qubits)
         self._segments = self._split(circuit)
@@ -167,16 +157,6 @@ class ShotExecutor:
         segments.append(_Segment(pending, None))
         return segments
 
-    @property
-    def has_mid_circuit_measurement(self) -> bool:
-        """Whether any measurement is followed by further operations."""
-        for index, segment in enumerate(self._segments[:-1]):
-            if segment.measurement is not None:
-                remaining = self._segments[index + 1 :]
-                if any(s.operations for s in remaining):
-                    return True
-        return False
-
     def _run_segment(self, state: Edge, segment: _Segment) -> Edge:
         self.stats["segments_run"] += 1
         if (
@@ -218,7 +198,7 @@ class ShotExecutor:
 
     def _prefix(self) -> Edge:
         if self._prefix_state is None:
-            state = self.package.basis_state(self.num_qubits, 0)
+            state = self.package.basis_state(self.num_qubits, self.initial_state)
             self._prefix_state = self._run_segment(state, self._segments[0])
         return self._prefix_state
 

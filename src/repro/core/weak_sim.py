@@ -49,6 +49,7 @@ from .prefix_sampler import (
     probabilities_from_statevector,
 )
 from .results import SampleResult
+from .shot_executor import ShotExecutor
 
 __all__ = [
     "VECTOR_METHODS",
@@ -300,19 +301,36 @@ def simulate_and_sample(
     ``metadata["build"]["noise"]`` records the model (see
     ``docs/noise.md``).  A disabled model (all strengths zero) is
     normalised away, so the run is bit-identical to the exact pure-state
-    path at equal seed.  A combination no path can serve raises
-    :class:`~repro.simulators.build_spec.BuildSpecError` (a
+    path at equal seed.
+
+    :meth:`BuildSpec.route <repro.simulators.build_spec.BuildSpec.route>`
+    picks the path, as it does for every surface: a circuit with a
+    mid-circuit measurement (a measurement followed by further gates)
+    runs through :class:`~repro.core.shot_executor.ShotExecutor`
+    whatever ``method`` says, so each shot records every qubit's last
+    measured value and unmeasured qubits read 0 (the result's method is
+    ``"shot-executor"``); with ``noise`` it takes the density path
+    instead, where the measurement dephases.  A combination no path can
+    serve raises :class:`~repro.simulators.build_spec.BuildSpecError` (a
     :class:`~repro.exceptions.SamplingError`) with its row of the rule
     table in ``docs/api.md``.
     """
     spec = BuildSpec.of(
         scheme, optimize, initial_state, kernel, approximation, reorder, noise
     )
-    spec.check(method, workers)
+    path = spec.route(circuit, method, workers)
     with _telemetry.activate(telemetry):
-        if spec.noise is not None:
+        if path == "density":
             return _simulate_noisy(circuit, shots, spec, seed)
-        if method in VECTOR_METHODS:
+        if path == "shot-executor":
+            return ShotExecutor(
+                circuit,
+                spec.scheme,
+                spec.optimize,
+                kernel=spec.kernel,
+                initial_state=spec.initial_state,
+            ).run(shots, seed)
+        if path == "statevector":
             simulator = StatevectorSimulator(
                 memory_cap_bytes=memory_cap_bytes, optimize=spec.optimize
             )

@@ -7,13 +7,14 @@ Examples::
     python -m repro.fuzz --families clifford,nearzero
     python -m repro.fuzz --self-check                    # mutation test
 
-``--self-check`` deliberately injects two known bugs — a normalisation
-skew in the DD package, then an over-pruning approximation that lies
-about its fidelity bound — and verifies the fuzzer catches both (and
-minimizes the first to a handful of gates) — proof the oracles have
-teeth (documented in ``docs/fuzzing.md``).  Exit status is non-zero
-when failures are found (or, under ``--self-check``, when an injected
-bug is *not* found).
+``--self-check`` deliberately injects three known bugs — a normalisation
+skew in the DD package, an over-pruning approximation that lies about
+its fidelity bound, and a library front door that samples
+measure-and-continue circuits from their final unitary state again —
+and verifies the fuzzer catches all three (and minimizes the first to a
+handful of gates) — proof the oracles have teeth (documented in
+``docs/fuzzing.md``).  Exit status is non-zero when failures are found
+(or, under ``--self-check``, when an injected bug is *not* found).
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from .. import telemetry as _telemetry
+from ..circuit.circuit import QuantumCircuit
+from ..circuit.operations import Measurement
 from ..dd import approximation as _dd_approximation
 from ..dd import package as _dd_package
+from . import oracles as _oracles
 from .families import FAMILIES
 from .runner import FuzzConfig, FuzzReport, run_fuzz
 
@@ -86,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--self-check",
         action="store_true",
-        help="inject a known normalisation bug and verify the fuzzer catches it",
+        help="inject known bugs and verify the fuzzer catches each one",
     )
     return parser
 
@@ -142,6 +146,23 @@ def _overpruning_prune(state, budget, package=None):
 
 
 _ORIGINAL_PRUNE = _dd_approximation.prune_low_contribution
+
+
+def _unrouted_simulate_and_sample(circuit, shots, **kwargs):
+    """The planted routing bug: the library front door drops the
+    circuit's measurements, so a measure-and-continue circuit is sampled
+    from its final unitary state again (as before the one route) while
+    the service still runs it shot by shot.  The ``surface-agreement``
+    oracle must notice the library drifting from the service.
+    """
+    unitary = QuantumCircuit(circuit.num_qubits, name=circuit.name)
+    for instruction in circuit:
+        if not isinstance(instruction, Measurement):
+            unitary.append(instruction)
+    return _ORIGINAL_SIMULATE(unitary, shots, **kwargs)
+
+
+_ORIGINAL_SIMULATE = _oracles.simulate_and_sample
 
 
 def _check_normalize_mutation(args: argparse.Namespace) -> int:
@@ -204,9 +225,42 @@ def _check_overpruning_mutation(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_route_mutation(args: argparse.Namespace) -> int:
+    """The surface-agreement oracle must catch the library skipping the route."""
+    with tempfile.TemporaryDirectory() as scratch:
+        config = FuzzConfig(
+            families=("midmeasure",),
+            seed=args.seed,
+            max_circuits=4,
+            minimize=False,
+            corpus_dir=Path(scratch),
+        )
+        _oracles.simulate_and_sample = _unrouted_simulate_and_sample
+        try:
+            report = run_fuzz(config)
+        finally:
+            _oracles.simulate_and_sample = _ORIGINAL_SIMULATE
+    caught = [f for f in report.failures if f.oracle == "surface-agreement"]
+    if not caught:
+        print(
+            "self-check FAILED: planted routing bug went undetected by the "
+            "surface-agreement oracle on the midmeasure family"
+        )
+        return 1
+    print(
+        "self-check passed: planted routing bug caught "
+        f"{len(caught)} time(s) by surface-agreement on the midmeasure family"
+    )
+    return 0
+
+
 def _run_self_check(args: argparse.Namespace) -> int:
     """Mutation tests: each planted bug must be found by its oracle."""
-    return _check_normalize_mutation(args) | _check_overpruning_mutation(args)
+    return (
+        _check_normalize_mutation(args)
+        | _check_overpruning_mutation(args)
+        | _check_route_mutation(args)
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -32,8 +32,9 @@ class CircuitFamily:
 
     ``clifford`` marks circuits the stabilizer backend can simulate;
     ``mid_circuit`` marks circuits containing measure-and-continue
-    sections (only the :class:`~repro.core.shot_executor.ShotExecutor`
-    oracles apply to those).  ``reorder`` marks families whose structure
+    sections (the exact-distribution and approximation oracles do not
+    apply to those; the :class:`~repro.core.shot_executor.ShotExecutor`
+    oracles do).  ``reorder`` marks families whose structure
     makes dynamic qubit reordering worthwhile — the reorder-vs-fixed
     oracle runs only on those, where a reordering bug would actually
     move nodes around.

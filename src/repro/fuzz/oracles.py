@@ -14,13 +14,15 @@ minimizer can shrink crashing circuits with the same machinery.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuit.circuit import QuantumCircuit
+from ..circuit.circuit import QuantumCircuit, circuit_has_mid_circuit_measurement
 from ..circuit.qasm import parse_qasm, to_qasm
 from ..circuit.transforms import permute_qubits
 from ..core.dd_sampler import DDSampler
@@ -29,13 +31,12 @@ from ..core.indistinguishability import (
     total_variation_distance,
     two_sample_chi_square,
 )
-from ..core.shot_executor import (
-    ShotExecutor,
-    circuit_has_mid_circuit_measurement,
-)
-from ..core.weak_sim import sample_dd, simulate_and_sample
+from ..core.shot_executor import ShotExecutor
+from ..core.weak_sim import DD_METHODS, VECTOR_METHODS, sample_dd, simulate_and_sample
 from ..dd.approximation import ApproximationConfig
 from ..exceptions import ReproError
+from ..service.__main__ import run_batch
+from ..service.api import SamplingRequest, SamplingService
 from ..simulators.dd_simulator import DDSimulator
 from ..simulators.stabilizer import StabilizerSimulator
 from ..simulators.statevector import StatevectorSimulator
@@ -54,6 +55,9 @@ __all__ = [
     "P_VALUE_FLOOR",
     "SAMPLE_SHOTS",
     "PER_SHOT_SAMPLE_SHOTS",
+    "SURFACE_NOISE",
+    "SURFACE_SHOTS",
+    "SURFACE_WIDE_MAX_OPERATIONS",
     "MAX_EXACT_QUBITS",
     "Oracle",
     "ORACLES",
@@ -126,6 +130,19 @@ NOISE_WIDE_MAX_OPERATIONS = 10
 #: skipped up front; GHZ-style single-ladder circuits still run at the
 #: full :data:`NOISE_MAX_QUBITS`.
 NOISE_WIDE_ENTANGLER_CAP = 1.0
+
+#: Shots each surface draws in the surface-agreement oracle.
+SURFACE_SHOTS = 256
+
+#: Depolarizing strength of the surface-agreement oracle's noisy variant.
+SURFACE_NOISE = 0.01
+
+#: Instruction budget for circuits wider than six qubits in the
+#: surface-agreement oracle.  Each check makes up to six full builds
+#: (three surfaces, two requests) and the route does not depend on
+#: depth, so wide circuits are checked on a prefix, as in the
+#: noisy-vs-dense oracle.
+SURFACE_WIDE_MAX_OPERATIONS = 20
 
 #: Tolerance for the noisy-vs-dense probability comparison.  Looser
 #: than :data:`ATOL` because a Kraus channel *sums* evolved density
@@ -426,18 +443,15 @@ def _check_approx_vs_exact(
     a build with fidelity budget ε reports ``fidelity_bound ≥ 1−ε`` and
     that the true TVD from the exact distribution is at most
     ``sqrt(1−fidelity_bound)``.  Both halves are checked: dense TVD
-    within :data:`MAX_EXACT_QUBITS` on unitary circuits, a seeded
-    chi-square/empirical-TVD comparison above that width and on
-    measure-and-continue circuits (where the collapse makes the bound
-    statistical rather than exact).
+    within :data:`MAX_EXACT_QUBITS`, a seeded chi-square/empirical-TVD
+    comparison above that width.  Measure-and-continue circuits are out
+    of scope: every surface refuses approximation with a mid-circuit
+    measurement, which the ``surface-agreement`` oracle checks.
     """
     config = ApproximationConfig(
         epsilon=APPROX_EPSILON, interval=APPROX_INTERVAL
     )
-    if (
-        not circuit_has_mid_circuit_measurement(circuit)
-        and circuit.num_qubits <= MAX_EXACT_QUBITS
-    ):
+    if circuit.num_qubits <= MAX_EXACT_QUBITS:
         simulator = DDSimulator(approximation=config)
         approx = simulator.run(circuit).probabilities()
         bound = simulator.stats.fidelity_bound
@@ -581,24 +595,14 @@ def _check_noisy_vs_dense(
         compile_noisy_sampler,
     )
 
-    if circuit.num_qubits > NOISE_MAX_QUBITS:
-        return None
     cap = (
         NOISE_MAX_OPERATIONS
         if circuit.num_qubits <= 6
         else NOISE_WIDE_MAX_OPERATIONS
     )
-    if len(circuit.instructions) > cap:
-        prefix = QuantumCircuit(circuit.num_qubits)
-        for instruction in circuit.instructions[:cap]:
-            prefix.append(instruction)
-        circuit = prefix
-    if circuit.num_qubits > 6:
-        entanglers = sum(
-            1 for op in circuit.operations if len(op.qubits) > 1
-        )
-        if entanglers > NOISE_WIDE_ENTANGLER_CAP * circuit.num_qubits:
-            return None
+    circuit = _prefix(circuit, cap)
+    if not _noise_fits(circuit):
+        return None
     seed = int(rng.integers(2**63))
     if not circuit_has_mid_circuit_measurement(circuit):
         zero = simulate_and_sample(
@@ -647,6 +651,123 @@ def _check_noisy_vs_dense(
         f"noisy samples vs dense: chi²={outcome.statistic:.2f} "
         f"(dof {outcome.dof}), p={outcome.p_value:.3e}"
     )
+
+
+def _prefix(circuit: QuantumCircuit, size: int) -> QuantumCircuit:
+    """``circuit`` cut to its first ``size`` instructions."""
+    if len(circuit.instructions) <= size:
+        return circuit
+    prefix = QuantumCircuit(circuit.num_qubits)
+    for instruction in circuit.instructions[:size]:
+        prefix.append(instruction)
+    return prefix
+
+
+def _noise_fits(circuit: QuantumCircuit) -> bool:
+    """Whether a noisy build of ``circuit`` stays inside the fuzz budget.
+
+    At most :data:`NOISE_MAX_QUBITS` qubits and
+    :data:`NOISE_MAX_OPERATIONS` instructions; beyond six qubits at most
+    :data:`NOISE_WIDE_MAX_OPERATIONS` instructions and
+    :data:`NOISE_WIDE_ENTANGLER_CAP` two-qubit gates per qubit.
+    """
+    size = len(circuit.instructions)
+    if circuit.num_qubits <= 6:
+        return size <= NOISE_MAX_OPERATIONS
+    entanglers = sum(1 for op in circuit.operations if len(op.qubits) > 1)
+    return (
+        circuit.num_qubits <= NOISE_MAX_QUBITS
+        and size <= NOISE_WIDE_MAX_OPERATIONS
+        and entanglers <= NOISE_WIDE_ENTANGLER_CAP * circuit.num_qubits
+    )
+
+
+def _surface_variant(
+    circuit: QuantumCircuit, rng: np.random.Generator
+) -> Dict[str, Any]:
+    """One drawn request variant: a method, an initial state, workers or a feature."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        methods = DD_METHODS + VECTOR_METHODS
+        return {"method": methods[int(rng.integers(len(methods)))]}
+    if kind == 1:
+        return {"initial_state": int(rng.integers(1 << circuit.num_qubits))}
+    if kind == 2:
+        return {"workers": 2}
+    features: List[Dict[str, Any]] = [
+        {"approximation": APPROX_EPSILON},
+        {"reorder": True},
+    ]
+    if _noise_fits(circuit):
+        features.append({"noise_model": SURFACE_NOISE})
+    return features[int(rng.integers(len(features)))]
+
+
+def _check_surfaces_agree(
+    circuit: QuantumCircuit, rng: np.random.Generator
+) -> Optional[str]:
+    """Library, service and JSONL batch must give one answer per request.
+
+    The circuit goes through QASM once (beyond six qubits, its first
+    :data:`SURFACE_WIDE_MAX_OPERATIONS` instructions); then
+    ``simulate_and_sample``, :meth:`SamplingService.sample` and
+    ``run_batch`` (replaying the same records on the warm service) each
+    serve the default request and one drawn variant
+    (:func:`_surface_variant`) at equal seed.  Either all three accept
+    with equal counts, or all three refuse with the same message.
+    """
+    if circuit.num_qubits > 6:
+        circuit = _prefix(circuit, SURFACE_WIDE_MAX_OPERATIONS)
+    qasm = to_qasm(circuit)
+    parsed = parse_qasm(qasm)
+    seed = int(rng.integers(2**32))
+    records = [
+        {"shots": SURFACE_SHOTS, "seed": seed},
+        {"shots": SURFACE_SHOTS, "seed": seed, **_surface_variant(parsed, rng)},
+    ]
+    library = []
+    for record in records:
+        kwargs = {
+            "noise" if name == "noise_model" else name: value
+            for name, value in record.items()
+        }
+        try:
+            result = simulate_and_sample(parsed, **kwargs)
+        except ReproError as error:
+            library.append(str(error))
+        else:
+            library.append(result.bitstring_counts())
+    lines = "".join(
+        json.dumps({"circuit": {"qasm": qasm}, **record}) + "\n" for record in records
+    )
+    sink = io.StringIO()
+    with SamplingService() as service:
+        served = [
+            service.sample(SamplingRequest(parsed, **record)).to_dict()
+            for record in records
+        ]
+        run_batch(service, io.StringIO(lines), sink)
+    batch = [json.loads(line) for line in sink.getvalue().splitlines()]
+    for record, answer, *responses in zip(records, library, served, batch):
+        others = [
+            response["counts"] if response["status"] == "ok" else response["error"]
+            for response in responses
+        ]
+        if others != [answer, answer]:
+            return (
+                f"surfaces disagree on {record}: library "
+                f"{_surface_summary(answer)}, service "
+                f"{_surface_summary(others[0])}, batch {_surface_summary(others[1])}"
+            )
+    return None
+
+
+def _surface_summary(answer: Any) -> str:
+    """A one-line view of a surface's answer (counts or refusal message)."""
+    if isinstance(answer, str):
+        return f"refused {answer!r}"
+    top = sorted(answer.items(), key=lambda item: -item[1])[:3]
+    return f"{len(answer)} outcomes, top {top}"
 
 
 def _wrap(
@@ -729,7 +850,7 @@ ORACLES: Dict[str, Oracle] = {
             name="approx-vs-exact",
             description="bound check: approximate DD error within reported ε",
             pair=("dd+approx", "statevector"),
-            applies=lambda family: True,
+            applies=_exact_applies,
             run=_wrap(_check_approx_vs_exact),
         ),
         Oracle(
@@ -773,6 +894,13 @@ ORACLES: Dict[str, Oracle] = {
             pair=("shot-executor+optimize", "shot-executor"),
             applies=lambda family: family.mid_circuit,
             run=_wrap(_check_midmeasure_optimize),
+        ),
+        Oracle(
+            name="surface-agreement",
+            description="equal seed: library, service and JSONL batch answers",
+            pair=("library", "service"),
+            applies=lambda family: True,
+            run=_wrap(_check_surfaces_agree),
         ),
     )
 }

@@ -14,11 +14,14 @@ the artifact round-trip is float64-bit-exact and the warm path consumes
 the RNG exactly like the cold path (same per-level draws, same
 seed-stable chunking under ``workers``).
 
-Requests that the compiled-artifact path cannot serve are still
-answered, just without the cache (``cache="bypass"``): dense ``vector*``
+Requests go where :meth:`BuildSpec.route
+<repro.simulators.build_spec.BuildSpec.route>` sends them, the same
+route ``simulate_and_sample`` takes.  Those the compiled-artifact path
+cannot serve are still answered, just without the cache
+(``cache="bypass"``, through ``simulate_and_sample``): dense ``vector*``
 methods, the non-default DD samplers (``dd-path`` …, which need the live
-DD rather than the flattened tables), and measure-and-continue circuits
-(routed through :class:`~repro.core.shot_executor.ShotExecutor`).
+DD rather than the flattened tables), and noiseless measure-and-continue
+circuits (run by :class:`~repro.core.shot_executor.ShotExecutor`).
 
 Telemetry: pass a :class:`repro.telemetry.Telemetry` session and the
 service activates it for its lifetime.  Every request opens a
@@ -44,12 +47,7 @@ import numpy as np
 from .. import telemetry as _telemetry
 from ..circuit.circuit import QuantumCircuit
 from ..core.results import SampleResult, bitstrings
-from ..core.shot_executor import ShotExecutor, circuit_has_mid_circuit_measurement
-from ..core.weak_sim import (
-    VECTOR_METHODS,
-    sample_statevector,
-    simulate_and_sample,
-)
+from ..core.weak_sim import sample_statevector, simulate_and_sample
 from ..dd.normalization import NormalizationScheme
 from ..dd.reorder import is_identity_permutation, unpermute_samples
 from ..exceptions import MemoryOutError, ReproError
@@ -217,8 +215,9 @@ class SamplingRequest:
     to a request without the field.  Noisy builds bypass the optimizer
     (noise binds to the circuit as written) and have no degradation
     fallback; they compose with neither ``approximation`` nor
-    ``reorder`` nor ``workers`` nor mid-circuit measurement (rejected,
-    never silently dropped).
+    ``reorder`` nor ``workers`` (rejected, never silently dropped).  A
+    mid-circuit measurement dephases the noisy state, and the artifact
+    is cached like any other noisy one.
 
     The service parses the build settings once per request
     (:meth:`build_spec`); a combination no path can serve is a
@@ -570,21 +569,16 @@ class SamplingService:
             )
         if request.deadline_seconds is not None and request.deadline_seconds <= 0:
             return self._reject(request, "deadline_seconds must be positive")
-        per_shot = circuit_has_mid_circuit_measurement(request.circuit)
         try:
             spec = request.build_spec()
-            spec.check(request.method, request.workers, per_shot)
+            path = spec.route(request.circuit, request.method, request.workers)
         except ReproError as error:
             return self._reject(request, str(error))
-        if request.method in VECTOR_METHODS:
-            return self._serve_bypass(request, spec)
-        if per_shot:
-            return self._serve_shot_executor(request, spec)
-        if request.method != "dd":
-            # dd-path / dd-multinomial / dd-collapse walk the live DD,
-            # which the flat artifact deliberately does not preserve.
-            return self._serve_bypass(request, spec)
-        return self._serve_compiled(request, spec)
+        if request.method == "dd" and path in ("dd", "density"):
+            return self._serve_compiled(request, spec)
+        # dd-path / dd-multinomial / dd-collapse walk the live DD, which
+        # the flat artifact deliberately does not preserve.
+        return self._serve_bypass(request, spec, path)
 
     def _reject(
         self,
@@ -617,10 +611,14 @@ class SamplingService:
     # ------------------------------------------------------------------
 
     def _serve_bypass(
-        self, request: SamplingRequest, spec: BuildSpec
+        self, request: SamplingRequest, spec: BuildSpec, path: str
     ) -> SamplingResponse:
-        """Non-cacheable methods: delegate to ``simulate_and_sample``."""
-        if request.method in VECTOR_METHODS:
+        """Outside the artifact cache: delegate to ``simulate_and_sample``.
+
+        ``path`` is the request's route (``"statevector"``,
+        ``"shot-executor"`` or ``"dd"``) and names the response's backend.
+        """
+        if path == "statevector":
             dense_bytes = 16 * (2**request.circuit.num_qubits)
             if dense_bytes > self.policy.dense_memory_cap_bytes:
                 return self._reject(
@@ -649,47 +647,18 @@ class SamplingService:
         except ReproError as error:
             return self._error(request, str(error))
         elapsed = time.perf_counter() - start
-        backend = (
-            "statevector" if request.method in VECTOR_METHODS else "dd"
-        )
         approx_meta = (result.metadata.get("build") or {}).get("approximation")
         return SamplingResponse(
             request_id=request.request_id,
             status="ok",
             result=result,
-            backend=backend,
+            backend=path,
             cache="bypass",
             build_seconds=elapsed - result.sampling_seconds,
             sampling_seconds=result.sampling_seconds,
             fidelity_bound=(
                 approx_meta.get("fidelity_bound") if approx_meta else None
             ),
-        )
-
-    def _serve_shot_executor(
-        self, request: SamplingRequest, spec: BuildSpec
-    ) -> SamplingResponse:
-        """Measure-and-continue circuits: per-shot semantics, no cache."""
-        start = time.perf_counter()
-        try:
-            executor = ShotExecutor(
-                request.circuit,
-                scheme=spec.scheme,
-                optimize=spec.optimize,
-                kernel=spec.kernel,
-            )
-            result = executor.run(request.shots, seed=request.seed)
-        except ReproError as error:
-            return self._error(request, str(error))
-        elapsed = time.perf_counter() - start
-        return SamplingResponse(
-            request_id=request.request_id,
-            status="ok",
-            result=result,
-            backend="shot-executor",
-            cache="bypass",
-            build_seconds=max(0.0, elapsed - result.sampling_seconds),
-            sampling_seconds=result.sampling_seconds,
         )
 
     def _serve_compiled(

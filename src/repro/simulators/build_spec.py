@@ -14,16 +14,21 @@ the spec owns the three decisions every layer used to make on its own:
   so "off" has exactly one spelling below the entry point.  Noise
   implies ``optimize=False``: gate-attached noise binds to the circuit
   as written, so the optimizer never runs on a noisy build.
-* **The rule table** — :data:`RULES` lists, in order, every combination
-  no serving path can honour; :meth:`BuildSpec.check` raises the first
-  one a request breaks (``docs/api.md`` renders the table, and
-  ``tools/check_docs.py`` keeps the two in step).
+* **The rule table and the route** — :data:`RULES` lists, in order,
+  every combination no serving path can honour, and
+  :meth:`BuildSpec.route` raises the first one a request breaks and
+  names the path that serves it: ``"density"`` (noise),
+  ``"shot-executor"`` (a mid-circuit measurement), ``"statevector"``
+  (``vector*`` methods) or ``"dd"``.  The library, ``repro-sample``,
+  JSONL batch mode and HTTP all branch on that one answer
+  (``docs/api.md`` renders the table, and ``tools/check_docs.py`` keeps
+  the two in step).
 * **The key bytes** — :meth:`BuildSpec.fold_key` feeds the enabled
   features into an artifact-key hash.  Disabled features add nothing,
   so every historic exact key is unchanged.
 
-This module is a leaf: it imports only the config classes, so the
-simulators can import it at module level.
+This module is a leaf: it imports only the config classes and the
+circuit predicate, so the simulators can import it at module level.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
+from ..circuit.circuit import QuantumCircuit, circuit_has_mid_circuit_measurement
 from ..dd.approximation import ApproximationConfig
 from ..dd.normalization import NormalizationScheme
 from ..dd.reorder import ReorderConfig
@@ -71,101 +77,93 @@ class BuildSpecError(SamplingError, ValueError):
 class Rule(NamedTuple):
     """One row of the rule table: a combination and what the caller is told.
 
-    ``breaks(spec, method, workers, per_shot)`` is true when a request
-    falls in the row; ``message`` is a :meth:`str.format` template over
-    ``method`` and ``kernel``.
+    ``breaks(spec, method, workers, path)`` is true when a request
+    falls in the row, where ``path`` is the serving path
+    :meth:`BuildSpec.route` chose (``None`` under the circuit-free
+    :meth:`BuildSpec.check`); ``message`` is a :meth:`str.format`
+    template over ``method`` and ``kernel``.
     """
 
     name: str
     message: str
-    breaks: Callable[["BuildSpec", str, Optional[int], bool], bool]
+    breaks: Callable[["BuildSpec", str, Optional[int], Optional[str]], bool]
 
 
 #: Every combination no path can serve, in the order they are checked
-#: (the first broken row is reported).  The last four rows apply only to
-#: requests the service serves shot by shot (mid-circuit measurement).
+#: (the first broken row is reported).  The last two rows apply to the
+#: shot-executor path, so only :meth:`BuildSpec.route`, which sees the
+#: circuit, raises them.
 RULES = (
     Rule(
         "unknown-method",
         "unknown sampling method {method!r}",
-        lambda s, m, w, shot: m not in DD_METHODS + VECTOR_METHODS,
+        lambda s, m, w, path: m not in DD_METHODS + VECTOR_METHODS,
     ),
     Rule(
         "unknown-kernel",
         "unknown kernel {kernel!r}; expected one of ('auto', 'vector', 'python')",
-        lambda s, m, w, shot: s.kernel not in KERNELS,
+        lambda s, m, w, path: s.kernel not in KERNELS,
     ),
     Rule(
         "workers-needs-dd",
         "parallel chunked sampling requires method='dd'",
-        lambda s, m, w, shot: w is not None and m != "dd",
+        lambda s, m, w, path: w is not None and m != "dd",
     ),
     Rule(
         "vector-kernel-approximation",
         "approximation runs on the python engine (pruning needs the edge "
         "representation mid-build); kernel='vector' is unsupported",
-        lambda s, m, w, shot: s.kernel == "vector" and s.approximation is not None,
+        lambda s, m, w, path: s.kernel == "vector" and s.approximation is not None,
     ),
     Rule(
         "vector-kernel-reorder",
         "reordering runs on the python engine (sifting needs the edge "
         "representation mid-build); kernel='vector' is unsupported",
-        lambda s, m, w, shot: s.kernel == "vector" and s.reorder is not None,
+        lambda s, m, w, path: s.kernel == "vector" and s.reorder is not None,
     ),
     Rule(
         "approximation-vector-method",
         "approximation applies to DD methods only; vector methods are always exact",
-        lambda s, m, w, shot: s.approximation is not None and m in VECTOR_METHODS,
+        lambda s, m, w, path: s.approximation is not None and m in VECTOR_METHODS,
     ),
     Rule(
         "reorder-vector-method",
         "reordering applies to DD methods only; vector methods use the natural order",
-        lambda s, m, w, shot: s.reorder is not None and m in VECTOR_METHODS,
+        lambda s, m, w, path: s.reorder is not None and m in VECTOR_METHODS,
     ),
     Rule(
         "noise-needs-dd",
         "noise requires method='dd' (samples come from the compiled density diagonal)",
-        lambda s, m, w, shot: s.noise is not None and m != "dd",
+        lambda s, m, w, path: s.noise is not None and m != "dd",
     ),
     Rule(
         "noise-approximation",
         "noise and approximation cannot be combined: the fidelity-bound "
         "accounting assumes a pure state",
-        lambda s, m, w, shot: s.noise is not None and s.approximation is not None,
+        lambda s, m, w, path: s.noise is not None and s.approximation is not None,
     ),
     Rule(
         "noise-reorder",
         "noise and reordering cannot be combined: sifting is implemented for "
         "vector DDs only",
-        lambda s, m, w, shot: s.noise is not None and s.reorder is not None,
+        lambda s, m, w, path: s.noise is not None and s.reorder is not None,
     ),
     Rule(
         "noise-workers",
         "parallel chunked sampling is not supported for noisy runs",
-        lambda s, m, w, shot: s.noise is not None and w is not None,
-    ),
-    Rule(
-        "per-shot-initial-state",
-        "mid-circuit measurement requires initial_state=0",
-        lambda s, m, w, shot: shot and s.initial_state != 0,
+        lambda s, m, w, path: s.noise is not None and w is not None,
     ),
     Rule(
         "per-shot-approximation",
         "approximation is not supported for mid-circuit measurement (the shot "
         "executor re-simulates per shot)",
-        lambda s, m, w, shot: shot and s.approximation is not None,
+        lambda s, m, w, path: path == "shot-executor" and s.approximation is not None,
     ),
     Rule(
         "per-shot-reorder",
         "reordering is not supported for mid-circuit measurement (collapses "
         "assume a fixed qubit order)",
-        lambda s, m, w, shot: shot and s.reorder is not None,
-    ),
-    Rule(
-        "per-shot-noise",
-        "noise is not supported for mid-circuit measurement requests (the "
-        "service serves those per shot, which cannot apply density noise)",
-        lambda s, m, w, shot: shot and s.noise is not None,
+        lambda s, m, w, path: path == "shot-executor" and s.reorder is not None,
     ),
 )
 
@@ -222,20 +220,47 @@ class BuildSpec:
             noise=noise,
         )
 
-    def check(
-        self,
-        method: str = "dd",
-        workers: Optional[int] = None,
-        per_shot: bool = False,
-    ) -> None:
+    def check(self, method: str = "dd", workers: Optional[int] = None) -> None:
         """Raise :class:`BuildSpecError` for the first :data:`RULES` row broken.
 
-        ``method`` and ``workers`` are the sampling side of the request;
-        ``per_shot`` is true when it will be served shot by shot (the
-        service's route for mid-circuit measurement).
+        The circuit-free check, for callers that hold no circuit (the
+        simulators, ``sample_dd``): it skips the shot-executor rows,
+        which only :meth:`route` can decide.
         """
+        self._raise_broken(method, workers, None)
+
+    def route(
+        self,
+        circuit: QuantumCircuit,
+        method: str = "dd",
+        workers: Optional[int] = None,
+    ) -> str:
+        """The serving path for ``circuit``, after raising any broken row.
+
+        ``"density"`` when noise is enabled (a mid-circuit measurement
+        dephases there); otherwise ``"shot-executor"`` when a
+        measurement is followed by further gates, whatever the sampling
+        ``method``; otherwise ``"statevector"`` for ``vector*`` methods
+        and ``"dd"`` for the DD methods.  Raises
+        :class:`BuildSpecError` for the first :data:`RULES` row the
+        request breaks.
+        """
+        if self.noise is not None:
+            path = "density"
+        elif circuit_has_mid_circuit_measurement(circuit):
+            path = "shot-executor"
+        elif method in VECTOR_METHODS:
+            path = "statevector"
+        else:
+            path = "dd"
+        self._raise_broken(method, workers, path)
+        return path
+
+    def _raise_broken(
+        self, method: str, workers: Optional[int], path: Optional[str]
+    ) -> None:
         for rule in RULES:
-            if rule.breaks(self, method, workers, per_shot):
+            if rule.breaks(self, method, workers, path):
                 raise BuildSpecError(
                     rule.message.format(method=method, kernel=self.kernel)
                 )

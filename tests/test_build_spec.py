@@ -26,7 +26,6 @@ import pytest
 from repro.algorithms.qft import qft
 from repro.algorithms.states import bell_pair, ghz
 from repro.cli import main as cli_main
-from repro.core.shot_executor import circuit_has_mid_circuit_measurement
 from repro.core.weak_sim import simulate_and_sample
 from repro.dd.approximation import ApproximationConfig
 from repro.dd.normalization import NormalizationScheme
@@ -40,6 +39,7 @@ from repro.service.keys import cache_key, spec_key
 from repro.service.net import HttpFrontDoor, http_request, post_json
 from repro.service.pool import PoolConfig, WorkerPool
 from repro.service.scheduler import ServicePolicy
+from repro.simulators import build_spec
 from repro.simulators.build_spec import RULES, BuildSpec, BuildSpecError
 from repro.simulators.dd_simulator import DDSimulator
 
@@ -315,7 +315,8 @@ BELL_QASM = (
 )
 
 #: Row name -> request fields breaking that row and no other.  ``mcm``
-#: selects a circuit with a mid-circuit measurement (served per shot).
+#: selects a circuit with a mid-circuit measurement (the shot-executor
+#: route).
 RULE_CASES = {
     "unknown-method": {"method": "psychic"},
     "unknown-kernel": {"kernel": "bogus"},
@@ -328,14 +329,12 @@ RULE_CASES = {
     "noise-approximation": {"noise_model": 0.01, "approximation": 0.05},
     "noise-reorder": {"noise_model": 0.01, "reorder": True},
     "noise-workers": {"noise_model": 0.01, "workers": 2},
-    "per-shot-initial-state": {"mcm": True, "initial_state": 1},
     "per-shot-approximation": {"mcm": True, "approximation": 0.05},
     "per-shot-reorder": {"mcm": True, "reorder": True},
-    "per-shot-noise": {"mcm": True, "noise_model": 0.01},
 }
 
-#: ``repro-sample`` flags reaching each row; the per-shot rows need
-#: ``--cache-dir`` (only the service serves per shot).
+#: ``repro-sample`` flags reaching each row, with and without
+#: ``--cache-dir``.
 CLI_FLAGS = {
     "workers-needs-dd": ["--method", "dd-path", "--workers", "2"],
     "vector-kernel-approximation": ["--kernel", "vector", "--approx-epsilon", "0.05"],
@@ -348,12 +347,11 @@ CLI_FLAGS = {
     "noise-workers": ["--noise-strength", "0.01", "--workers", "2"],
     "per-shot-approximation": ["--approx-epsilon", "0.05"],
     "per-shot-reorder": ["--reorder"],
-    "per-shot-noise": ["--noise-strength", "0.01"],
 }
 
 #: Rows no flag combination reaches: argparse restricts ``--method``
-#: and ``--kernel`` to their choices, and there is no initial-state flag.
-CLI_UNREACHABLE = {"unknown-method", "unknown-kernel", "per-shot-initial-state"}
+#: and ``--kernel`` to their choices.
+CLI_UNREACHABLE = {"unknown-method", "unknown-kernel"}
 
 
 def _record(fields):
@@ -380,32 +378,47 @@ def test_every_row_has_a_case():
     assert not set(CLI_FLAGS) & CLI_UNREACHABLE
 
 
+@pytest.mark.parametrize(
+    "mcm, fields, path",
+    [
+        (False, {}, "dd"),
+        (False, {"method": "dd-path"}, "dd"),
+        (False, {"method": "vector"}, "statevector"),
+        (False, {"noise_model": 0.01}, "density"),
+        (True, {}, "shot-executor"),
+        (True, {"method": "vector-alias"}, "shot-executor"),
+        (True, {"initial_state": 1, "workers": 2}, "shot-executor"),
+        (True, {"noise_model": 0.01}, "density"),
+    ],
+)
+def test_route_names_the_serving_path(mcm, fields, path):
+    request = SamplingRequest.from_record(_record({"mcm": mcm, **fields}))
+    spec = request.build_spec()
+    assert spec.route(request.circuit, request.method, request.workers) == path
+
+
 @pytest.mark.parametrize("name", list(RULE_CASES))
-def test_each_case_breaks_only_its_row(name):
+def test_each_case_breaks_only_its_row(name, monkeypatch):
     request = SamplingRequest.from_record(_record(RULE_CASES[name]))
     spec = request.build_spec()
-    per_shot = circuit_has_mid_circuit_measurement(request.circuit)
-    broken = [
-        rule.name
-        for rule in RULES
-        if rule.breaks(spec, request.method, request.workers, per_shot)
-    ]
-    assert broken == [name]
     with pytest.raises(BuildSpecError) as caught:
-        spec.check(request.method, request.workers, per_shot)
+        spec.route(request.circuit, request.method, request.workers)
     assert str(caught.value) == _message(name)
+    others = tuple(rule for rule in RULES if rule.name != name)
+    monkeypatch.setattr(build_spec, "RULES", others)
+    spec.route(request.circuit, request.method, request.workers)
 
 
-@pytest.mark.parametrize(
-    "name", [name for name, fields in RULE_CASES.items() if not fields.get("mcm")]
-)
+@pytest.mark.parametrize("name", list(RULE_CASES))
 def test_library_raises_the_row_message(name):
+    record = _record(RULE_CASES[name])
     kwargs = {
         "noise" if field == "noise_model" else field: value
         for field, value in RULE_CASES[name].items()
+        if field != "mcm"
     }
     with pytest.raises(SamplingError) as caught:
-        simulate_and_sample(bell_pair(), 10, seed=1, **kwargs)
+        simulate_and_sample(resolve_circuit(record["circuit"]), 10, seed=1, **kwargs)
     assert str(caught.value) == _message(name)
 
 
@@ -430,12 +443,7 @@ def test_run_batch_writes_each_row_message():
 
 
 @pytest.mark.parametrize(
-    "name, cached",
-    [
-        (name, cached)
-        for name in CLI_FLAGS
-        for cached in ((True,) if RULE_CASES[name].get("mcm") else (False, True))
-    ],
+    "name, cached", [(name, cached) for name in CLI_FLAGS for cached in (False, True)]
 )
 def test_cli_exits_2_with_the_row_message(name, cached, tmp_path, capsys):
     path = tmp_path / "circuit.qasm"
@@ -558,7 +566,8 @@ def test_docs_check_flags_changed_wording_and_missing_rows(tmp_path):
     messages = [rule.message for rule in RULES]
     reworded = messages[:10] + ["noise and workers do not mix"] + messages[11:]
     assert any("row 11" in p for p in _problems(tmp_path, _rule_table(reworded)))
-    assert any("14 rows" in p for p in _problems(tmp_path, _rule_table(messages[:-1])))
+    short = _problems(tmp_path, _rule_table(messages[:-1]))
+    assert any(f"{len(RULES) - 1} rows" in p for p in short)
 
 
 def test_docs_check_requires_the_table_in_its_document(tmp_path, monkeypatch):

@@ -259,3 +259,15 @@ def test_run_fuzz_time_budget_stops_early():
     )
     report = run_fuzz(config)
     assert report.circuits == 0
+
+
+def test_surface_oracle_catches_the_library_skipping_the_route(monkeypatch):
+    from repro.fuzz import oracles
+    from repro.fuzz.__main__ import _unrouted_simulate_and_sample
+
+    circuit = generate("midmeasure", (7, 2, 0))
+    oracle = get_oracle("surface-agreement")
+    assert oracle.run(circuit, np.random.default_rng(1)) is None
+    monkeypatch.setattr(oracles, "simulate_and_sample", _unrouted_simulate_and_sample)
+    detail = oracle.run(circuit, np.random.default_rng(1))
+    assert detail is not None and detail.startswith("surfaces disagree")

@@ -31,7 +31,20 @@ MID_CIRCUIT_QASM = (
     "measure q[0] -> c[0];\n"
 )
 
+#: Two qubits: qubit 0 measured, then copied onto qubit 1 and measured.
+MID_CIRCUIT_2Q_QASM = (
+    "OPENQASM 2.0;\n"
+    'include "qelib1.inc";\n'
+    "qreg q[2];\n"
+    "creg c[2];\n"
+    "h q[0];\n"
+    "measure q[0] -> c[0];\n"
+    "cx q[0],q[1];\n"
+    "measure q[1] -> c[1];\n"
+)
+
 _MID = {"qasm": MID_CIRCUIT_QASM}
+_MID_2Q = {"qasm": MID_CIRCUIT_2Q_QASM}
 
 #: name -> (request record, digest of the response line).
 ANSWERS = {
@@ -191,13 +204,21 @@ ANSWERS = {
         {"circuit": _MID, "shots": 2000, "seed": 1, "method": "dd-path"},
         "0545d931fdd6c7ba866f7e8e99fd4e258e66ffed63b77e13a0b9fbe3727881d6",
     ),
-    # Known wrong: the vector method samples the final unitary state and
-    # answers {"0": 2000}, while the dd methods answer about half and
-    # half.  ROADMAP's "one answer per request on every surface" fix
-    # changes this digest on purpose.
     "mid_circuit_vector": (
         {"circuit": _MID, "shots": 2000, "seed": 1, "method": "vector"},
-        "34406317dbccf5c9bb6e139a5079d4d8dd5c8ceb68493f124eaf41b5cd69fa35",
+        "0545d931fdd6c7ba866f7e8e99fd4e258e66ffed63b77e13a0b9fbe3727881d6",
+    ),
+    "mid_circuit_initial_state": (
+        {"circuit": _MID_2Q, "shots": 2000, "seed": 1, "initial_state": 2},
+        "2aa074377d8c6a99fa8ba952fcee63ddbecfc81aaae822c17ed7c80f47540f2a",
+    ),
+    "mid_circuit_noise": (
+        {"circuit": _MID_2Q, "shots": 2000, "seed": 1, "noise_model": 0.02},
+        "f0b2cd9a9d7a69d66d1e4329ba68fb909f447b33b21de4f1cf3f71f598683c16",
+    ),
+    "mid_circuit_reject_approximation": (
+        {"circuit": _MID, "shots": 10, "seed": 1, "approximation": 0.05},
+        "e514feaf7616398c41f6e85050260bf81c88e25789b2c9222b32a36d4f94438c",
     ),
     # -- rejections ---------------------------------------------------------
     "reject_negative_shots": (

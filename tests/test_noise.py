@@ -317,6 +317,11 @@ class TestModelAndKeys:
 # ---------------------------------------------------------------------------
 
 
+def _mid_circuit() -> QuantumCircuit:
+    """Qubit 0 measured mid-circuit, then copied onto qubit 1."""
+    return QuantumCircuit(2).h(0).measure(0).cx(0, 1).measure_all()
+
+
 def _sample(tmp_path, request):
     with SamplingService(cache_dir=str(tmp_path)) as service:
         return service.sample(request)
@@ -397,16 +402,18 @@ class TestService:
         )
         assert response.status == "rejected"
 
-    def test_rejects_noise_with_mid_circuit_measurement(self, tmp_path):
-        circuit = QuantumCircuit(2)
-        circuit.h(0)
-        circuit.measure(0)
-        circuit.cx(0, 1)
+    def test_noisy_mid_circuit_request_bit_identical_to_library(self, tmp_path):
+        # The route sends a noisy mid-circuit request to the density path
+        # on every surface; the service caches it like any noisy artifact.
+        circuit = _mid_circuit()
+        reference = simulate_and_sample(circuit, 3000, seed=4, noise=0.01)
         response = _sample(
-            tmp_path, SamplingRequest(circuit, 100, noise_model=0.01)
+            tmp_path, SamplingRequest(circuit, 3000, seed=4, noise_model=0.01)
         )
-        assert response.status == "rejected"
-        assert "mid-circuit" in response.error
+        assert response.ok and response.cache == "built"
+        assert response.backend == "dd"
+        assert response.noise == {"depolarizing": 0.01}
+        assert response.result.counts == reference.counts
 
     def test_malformed_noise_model_rejected(self, tmp_path):
         response = _sample(
@@ -416,19 +423,19 @@ class TestService:
         assert response.status == "rejected"
 
     def test_warm_disk_cache_bit_identical(self, tmp_path):
-        circuit = bell_pair()
-        reference = simulate_and_sample(circuit, 2000, seed=9, noise=0.03)
-        with SamplingService(cache_dir=str(tmp_path)) as service:
-            cold = service.sample(
-                SamplingRequest(circuit, 2000, seed=9, noise_model=0.03)
-            )
-        with SamplingService(cache_dir=str(tmp_path)) as service:
-            warm = service.sample(
-                SamplingRequest(circuit, 2000, seed=9, noise_model=0.03)
-            )
-        assert cold.cache == "built"
-        assert warm.cache == "disk"
-        assert warm.result.counts == reference.counts
+        for circuit in (bell_pair(), _mid_circuit()):
+            reference = simulate_and_sample(circuit, 2000, seed=9, noise=0.03)
+            with SamplingService(cache_dir=str(tmp_path)) as service:
+                cold = service.sample(
+                    SamplingRequest(circuit, 2000, seed=9, noise_model=0.03)
+                )
+            with SamplingService(cache_dir=str(tmp_path)) as service:
+                warm = service.sample(
+                    SamplingRequest(circuit, 2000, seed=9, noise_model=0.03)
+                )
+            assert cold.cache == "built"
+            assert warm.cache == "disk"
+            assert warm.result.counts == reference.counts
 
 
 # ---------------------------------------------------------------------------

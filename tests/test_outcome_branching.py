@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit
-from repro.core.indistinguishability import two_sample_chi_square
+from repro.core.indistinguishability import chi_square_gof, two_sample_chi_square
 from repro.core.shot_executor import ShotExecutor
 from repro.exceptions import SimulationError
+from repro.noise import NoiseModel, noisy_probabilities_dense
 
 SHOTS = 20_000
 
@@ -124,3 +125,30 @@ class TestTerminalSubsetRegression:
             # Qubit 1's mid value is retained in the record; qubits 0 and
             # 2 come from the final subset measurement.
             assert 0 <= record < 8
+
+
+class TestInitialState:
+    @staticmethod
+    def _circuit() -> QuantumCircuit:
+        circuit = QuantumCircuit(3)
+        circuit.ry(0.7, 0).h(1).measure(0).cx(0, 2).ry(1.1, 0).cx(1, 0)
+        return circuit.measure_all()
+
+    @pytest.mark.parametrize("initial_state", [0, 3, 6])
+    @pytest.mark.parametrize("kernel", ["vector", "python"])
+    def test_matches_the_dephased_dense_reference(self, initial_state, kernel):
+        # With every qubit measured last, the records follow the
+        # distribution of the noiseless dense density evolution, where
+        # the mid-circuit measurement dephases.
+        circuit = self._circuit()
+        reference = noisy_probabilities_dense(
+            circuit, NoiseModel(), initial_state=initial_state
+        )
+        if initial_state:
+            # The circuit must tell the initial states apart.
+            zero = noisy_probabilities_dense(circuit, NoiseModel())
+            assert np.abs(reference - zero).max() > 0.1
+        result = ShotExecutor(
+            circuit, kernel=kernel, initial_state=initial_state
+        ).run(SHOTS, seed=initial_state)
+        assert chi_square_gof(result, reference).p_value > 1e-4

@@ -229,3 +229,29 @@ def test_top_zero_lists_no_outcomes(bell_file, capsys):
     out = capsys.readouterr().out
     assert "|00>" not in out and "|11>" not in out
     assert "... 2 more outcomes" in out
+
+
+MID_CIRCUIT = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[1];
+creg c[1];
+h q[0];
+measure q[0] -> c[0];
+h q[0];
+measure q[0] -> c[0];
+"""
+
+
+def test_mid_circuit_counts_agree_with_and_without_cache_dir(tmp_path, capsys):
+    # Regression: without --cache-dir the library sampled the final
+    # unitary state (|0> 10000 times) while the service ran the shot
+    # executor; both now take the one route.
+    path = tmp_path / "mid.qasm"
+    path.write_text(MID_CIRCUIT)
+    argv = [str(path), "--shots", "10000", "--seed", "1"]
+    runs = []
+    for extra in ([], ["--cache-dir", str(tmp_path / "cache")]):
+        assert main(argv + extra) == 0
+        runs.append(capsys.readouterr().out.splitlines()[1:])
+    assert runs[0] == runs[1]
+    assert [line.split()[:2] for line in runs[0]] == [["|0>", "5056"], ["|1>", "4944"]]
