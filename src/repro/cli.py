@@ -86,15 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the compile pipeline and simulate the circuit verbatim",
     )
     parser.add_argument(
-        "--kernel",
-        choices=("auto", "vector", "python"),
-        default="auto",
-        help="strong-simulation engine: 'vector' is the structure-of-"
-        "arrays kernel, 'python' the reference recursion, 'auto' picks "
-        "per scheme; both are bit-identical, so samples do not depend "
-        "on the choice",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
@@ -214,7 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         spec = BuildSpec.of(
             optimize=not args.no_optimize,
-            kernel=args.kernel,
             approximation={
                 "epsilon": args.approx_epsilon,
                 "node_budget": args.approx_node_budget,
@@ -260,7 +250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         method=args.method,
                         workers=args.workers,
                         optimize=spec.optimize,
-                        kernel=spec.kernel,
                         approximation=spec.approximation,
                         reorder=spec.reorder,
                         noise_model=spec.noise,
@@ -283,7 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 workers=args.workers,
                 optimize=spec.optimize,
                 telemetry=session,
-                kernel=spec.kernel,
                 approximation=spec.approximation,
                 reorder=spec.reorder,
                 noise=spec.noise,

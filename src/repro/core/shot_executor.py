@@ -41,6 +41,7 @@ from ..dd.package import DDPackage
 from ..exceptions import SimulationError
 from .dd_sampler import DDSampler
 from ..dd.vector_dd import VectorDD
+from ..perf.kernel import select_engine
 from .results import SampleResult
 
 __all__ = ["ShotExecutor"]
@@ -67,6 +68,14 @@ class ShotExecutor:
     an exact unitary rewrite, so optimizing first holds for any input
     state.  A shot's record holds each qubit's last measured value, and
     qubits never measured read 0.
+
+    The unitary segments run on the engine
+    :func:`~repro.perf.kernel.select_engine` picks, as a
+    :class:`~repro.simulators.dd_simulator.DDSimulator` build does:
+    the SoA kernel under L2, the python reference otherwise or with
+    ``kernel="python"``.  Collapse needs the edge form, so on the kernel
+    every segment ending in a mid-circuit measurement is a forced round
+    trip, counted as ``kernel_measurement_fallbacks``.
     """
 
     def __init__(
@@ -78,12 +87,7 @@ class ShotExecutor:
         kernel: str = "auto",
         initial_state: int = 0,
     ):
-        from ..simulators.build_spec import KERNELS
-
-        if kernel not in KERNELS:
-            raise SimulationError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
+        self._engine = select_engine(scheme, kernel)
         #: Optional telemetry session activated around every run (the
         #: branching counters below are absorbed into its registry).
         self.telemetry = telemetry
@@ -107,20 +111,6 @@ class ShotExecutor:
         self.package = DDPackage(scheme=scheme)
         self._applier = GateApplier(self.package, self.num_qubits)
         self._segments = self._split(circuit)
-        #: Requested engine for the unitary segments (``"auto"`` /
-        #: ``"vector"`` / ``"python"``, same contract as
-        #: :class:`~repro.simulators.dd_simulator.DDSimulator`).  Collapse
-        #: itself always runs on the python Edge path — measurement is
-        #: outside the kernel's coverage — so the SoA state round-trips
-        #: to Edge form at every measurement boundary; those forced round
-        #: trips surface as ``kernel.fallbacks``.
-        self.kernel = kernel
-        if kernel == "auto":
-            self._engine_kind = (
-                "vector" if scheme is NormalizationScheme.L2 else "python"
-            )
-        else:
-            self._engine_kind = kernel
         #: Branching diagnostics for the most recent run: outcome
         #: branches explored, collapse operations, binomial splits,
         #: segments executed (``Registry.snapshot()`` exposes these as
@@ -158,42 +148,21 @@ class ShotExecutor:
         return segments
 
     def _run_segment(self, state: Edge, segment: _Segment) -> Edge:
+        """One unitary segment: load → apply* → to_edge on the engine."""
         self.stats["segments_run"] += 1
-        if (
-            self._engine_kind == "vector"
-            and segment.operations
-            and state.weight != 0
-        ):
-            return self._run_segment_kernel(state, segment)
-        for op in segment.operations:
-            state = self._applier.apply(state, op)
-        return state
-
-    def _run_segment_kernel(self, state: Edge, segment: _Segment) -> Edge:
-        """One unitary segment on the SoA kernel (bit-identical to python).
-
-        Each call is a full load → apply* → to_edge round trip: the
-        collapse that separates segments needs the Edge representation,
-        so the SoA state cannot persist across a measurement boundary.
-        Those forced exits are the executor's kernel fallbacks.
-        """
-        from ..perf import kernel as kernel_mod
-
-        engine = kernel_mod.KernelEngine(
-            self.package,
-            self.num_qubits,
-            self._applier,
-            batch_min_width=kernel_mod.DEFAULT_BATCH_MIN_WIDTH,
-        )
+        if not segment.operations or state.weight == 0:
+            return state
+        engine = self._engine(self.package, self.num_qubits, self._applier)
         engine.load(state)
         for op in segment.operations:
             engine.apply(op)
-        self.stats["kernel_segments"] += 1
-        if segment.measurement is not None and self.has_mid_circuit_measurement:
-            self.stats["kernel_measurement_fallbacks"] += 1
-            session = _telemetry.active()
-            if session is not None:
-                session.registry.counter("kernel.fallbacks").inc()
+        if engine.name == "vector":
+            self.stats["kernel_segments"] += 1
+            if segment.measurement is not None and self.has_mid_circuit_measurement:
+                self.stats["kernel_measurement_fallbacks"] += 1
+                session = _telemetry.active()
+                if session is not None:
+                    session.registry.counter("kernel.fallbacks").inc()
         return engine.to_edge()
 
     def _prefix(self) -> Edge:

@@ -185,11 +185,10 @@ def _build_metadata(stats) -> dict:
         "diagonal_term_applications": stats.diagonal_term_applications,
         "compile": dict(stats.compile_stats),
     }
-    kernel = getattr(stats, "kernel", None)
-    if kernel is not None:
-        metadata["kernel"] = kernel
-        metadata["kernel_fallbacks"] = getattr(stats, "kernel_fallbacks", 0)
-        metadata["kernel_levels"] = getattr(stats, "kernel_levels", 0)
+    if stats.kernel is not None:
+        metadata["kernel"] = stats.kernel
+        metadata["kernel_fallbacks"] = stats.kernel_fallbacks
+        metadata["kernel_levels"] = stats.kernel_levels
     if getattr(stats, "fidelity_bound", None) is not None:
         metadata["approximation"] = {
             "rounds": stats.approx_rounds,
@@ -219,7 +218,7 @@ def _simulate_noisy(
     whose ``noise`` is enabled.  The compile pipeline is bypassed (noise
     binds to the circuit as written — see
     :mod:`repro.simulators.density_simulator`), so there is no
-    ``optimize``/``kernel``/``workers`` surface here.
+    ``optimize``/``workers`` surface here.
     """
     if shots < 0:
         raise SamplingError(f"shots must be non-negative, got {shots}")
@@ -264,7 +263,6 @@ def simulate_and_sample(
     workers: Optional[int] = None,
     optimize: bool = True,
     telemetry: Optional["_telemetry.Telemetry"] = None,
-    kernel: str = "auto",
     approximation: Optional[ApproximationConfig] = None,
     reorder: Optional[ReorderConfig] = None,
     noise: Optional[NoiseModel] = None,
@@ -279,10 +277,8 @@ def simulate_and_sample(
     pass ``False`` to simulate the circuit verbatim).  ``telemetry``
     attaches a :class:`repro.telemetry.Telemetry` session covering the
     whole pipeline — compile, build, precompute, sampling — ready for
-    JSONL export (CLI flag ``--trace``).  ``kernel`` selects the DD
-    build engine (``"auto"``/``"vector"``/``"python"``, see
-    :class:`~repro.simulators.dd_simulator.DDSimulator`); both engines
-    are bit-identical, so samples at equal seed do not depend on it.
+    JSONL export (CLI flag ``--trace``).  The build picks its own
+    engine (see :class:`~repro.simulators.dd_simulator.DDSimulator`).
     ``approximation`` (DD methods only) enables controlled DD pruning —
     an :class:`~repro.dd.approximation.ApproximationConfig`, a bare
     epsilon, or a ``{"epsilon": ...}`` mapping; the result's
@@ -315,20 +311,14 @@ def simulate_and_sample(
     :class:`~repro.exceptions.SamplingError`) with its row of the rule
     table in ``docs/api.md``.
     """
-    spec = BuildSpec.of(
-        scheme, optimize, initial_state, kernel, approximation, reorder, noise
-    )
+    spec = BuildSpec.of(scheme, optimize, initial_state, approximation, reorder, noise)
     path = spec.route(circuit, method, workers)
     with _telemetry.activate(telemetry):
         if path == "density":
             return _simulate_noisy(circuit, shots, spec, seed)
         if path == "shot-executor":
             return ShotExecutor(
-                circuit,
-                spec.scheme,
-                spec.optimize,
-                kernel=spec.kernel,
-                initial_state=spec.initial_state,
+                circuit, spec.scheme, spec.optimize, initial_state=spec.initial_state
             ).run(shots, seed)
         if path == "statevector":
             simulator = StatevectorSimulator(
@@ -341,7 +331,6 @@ def simulate_and_sample(
         dd_simulator = DDSimulator(
             scheme=spec.scheme,
             optimize=spec.optimize,
-            kernel=spec.kernel,
             approximation=spec.approximation,
             reorder=spec.reorder,
         )

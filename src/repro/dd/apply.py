@@ -355,6 +355,10 @@ class GateApplier:
             raise DDError("state has no qubits to apply a gate to")
         return walk(state, state.node.var)
 
+    def clear_operator_cache(self) -> None:
+        """Forget the cached operator DDs (a compaction dropped their nodes)."""
+        self._op_dds = OperationDDCache(self.package, self.num_qubits)
+
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------

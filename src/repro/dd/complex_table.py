@@ -191,7 +191,7 @@ class ComplexTable:
         self._buckets.clear()
         self.hits = 0
         self.misses = 0
-        self.__init__(self.tolerance)
+        self.__init__(self.tolerance, self.relative_tolerance)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -383,7 +383,7 @@ def _check_kernel_vs_python(
     """
     if circuit_has_mid_circuit_measurement(circuit):
         seed = int(rng.integers(2**63))
-        vector = ShotExecutor(circuit, kernel="vector").run(
+        vector = ShotExecutor(circuit).run(
             PER_SHOT_SAMPLE_SHOTS, seed=seed
         )
         python = ShotExecutor(circuit, kernel="python").run(
@@ -398,12 +398,12 @@ def _check_kernel_vs_python(
         )
     if circuit.num_qubits <= MAX_EXACT_QUBITS:
         return _compare_dense(
-            DDSimulator(kernel="vector").run(circuit).probabilities(),
+            DDSimulator().run(circuit).probabilities(),
             DDSimulator(kernel="python").run(circuit).probabilities(),
             "kernel vs python",
         )
     first = sample_dd(
-        DDSimulator(kernel="vector").run(circuit),
+        DDSimulator().run(circuit),
         SAMPLE_SHOTS,
         method="dd",
         seed=rng,

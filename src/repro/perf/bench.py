@@ -368,9 +368,9 @@ def _case(circuit: QuantumCircuit, shots: int, seed: int) -> Dict:
     pipeline, (optimized, rewrite) = _timed(
         lambda: optimize_circuit(circuit), REPEATS
     )
-    unoptimized, _ = build("vector", circuit)
+    unoptimized, _ = build("auto", circuit)
     python, python_state = build("python", optimized)
-    kernel, state = build("vector", optimized)
+    kernel, state = build("auto", optimized)
     flatten, compiled = _timed(DDSampler(state).compiled)
     draw, samples = _timed(lambda: compiled.sample(shots, np.random.default_rng(seed)))
     reference = DDSampler(python_state).compiled().sample(
@@ -895,7 +895,7 @@ def run_harness(smoke: bool = False, workers: tuple = (1, 2, 4)) -> Dict:
         # Untimed warmup builds: the first kernel invocation in a
         # process pays one-off import and NumPy dispatch costs that
         # would otherwise be billed to whichever case runs first.
-        for engine in ("python", "vector"):
+        for engine in ("python", "auto"):
             DDSimulator(kernel=engine).run(ghz(4))
         payload: Dict = {
             "format": FORMAT,

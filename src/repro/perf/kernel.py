@@ -41,6 +41,10 @@ python engine: the SoA state converts to :class:`~repro.dd.node.Edge`
 form, the reference applier runs, and the result converts back.  Each
 round trip is counted in :attr:`KernelStats.fallbacks` and surfaced as
 the ``kernel.fallbacks`` telemetry counter.
+
+:class:`PythonEngine` puts the reference applier behind the same
+interface, so one build loop drives either engine, and
+:func:`select_engine` is the one place a build picks between them.
 """
 
 from __future__ import annotations
@@ -55,9 +59,17 @@ from .. import telemetry as _telemetry
 from ..circuit.operations import DiagonalOperation
 from ..dd.node import TERMINAL, Edge, is_terminal
 from ..dd.normalization import NormalizationScheme, normalize_weights
-from ..exceptions import DDError
+from ..exceptions import DDError, SimulationError
 
-__all__ = ["KernelEngine", "KernelStats", "SoAState", "DEFAULT_BATCH_MIN_WIDTH"]
+__all__ = [
+    "DEFAULT_BATCH_MIN_WIDTH",
+    "EngineError",
+    "KernelEngine",
+    "KernelStats",
+    "PythonEngine",
+    "SoAState",
+    "select_engine",
+]
 
 #: Level width at which gate application switches from the scalar replay
 #: to the NumPy batched sweep.  Below this, per-call NumPy overhead
@@ -428,19 +440,17 @@ class KernelEngine:
     engines.
     """
 
-    def __init__(
-        self,
-        package,
-        num_qubits: int,
-        applier,
-        batch_min_width: int = DEFAULT_BATCH_MIN_WIDTH,
-    ):
+    name = "vector"
+
+    def __init__(self, package, num_qubits: int, applier):
         self.package = package
         self.num_qubits = num_qubits
         self.applier = applier
         self.tolerance = package.tolerance
         self.scheme = package.scheme
-        self.batch_min_width = batch_min_width
+        # Read at construction, not import, so tests can force the
+        # batched (or scalar) sweep by patching the module constant.
+        self.batch_min_width = DEFAULT_BATCH_MIN_WIDTH
         self.stats = KernelStats()
         self._intern = _InternCache(package.complex_table)
         self._add_cache: Dict[tuple, Tuple[int, complex]] = {}
@@ -493,6 +503,14 @@ class KernelEngine:
                     stack.append((child.node, False))
         state.root = rows[edge.node.index]
         state.root_weight = edge.weight
+
+    def node_count(self) -> int:
+        """Live nodes of the working state (``package.node_count``)."""
+        return self.state.node_count()
+
+    def table_size(self) -> int:
+        """Stored SoA rows, the size that triggers :meth:`compact`."""
+        return self.state.total_rows()
 
     def to_edge(self) -> Edge:
         """Convert the working state back to a canonical :class:`Edge` DD.
@@ -1296,3 +1314,77 @@ class KernelEngine:
         fresh.root_weight = state.root_weight
         self.state = fresh
         self._add_cache.clear()
+
+
+class PythonEngine:
+    """The reference applier behind :class:`KernelEngine`'s interface.
+
+    The working state is an :class:`Edge` in the package itself, so
+    :meth:`load` and :meth:`to_edge` are free and the unique table is
+    the store :meth:`compact` collects.  ``stats`` stays zero: the
+    python engine has no SoA levels and no fallbacks.
+    """
+
+    name = "python"
+
+    def __init__(self, package, num_qubits: int, applier):
+        self.package = package
+        self.num_qubits = num_qubits
+        self.applier = applier
+        self.stats = KernelStats()
+        self.edge = package.zero_edge
+
+    def load(self, edge: Edge) -> None:
+        """Make ``edge`` the working state."""
+        self.edge = edge
+
+    def apply(self, op) -> None:
+        """Apply one instruction through the reference applier."""
+        self.edge = self.applier.apply(self.edge, op)
+
+    def to_edge(self) -> Edge:
+        """The working state."""
+        return self.edge
+
+    def node_count(self) -> int:
+        """Live nodes of the working state."""
+        return self.package.node_count(self.edge)
+
+    def table_size(self) -> int:
+        """Unique-table entries, the size that triggers :meth:`compact`."""
+        return len(self.package.unique_table)
+
+    def compact(self) -> None:
+        """Collect the package down to the working state.
+
+        The applier's operator DDs lose their nodes with the rest of
+        the table, so its cache goes too; its strategy counters stay.
+        """
+        self.edge = self.package.compact([self.edge])[0]
+        self.applier.clear_operator_cache()
+
+
+class EngineError(SimulationError, ValueError):
+    """An engine switch other than ``"auto"`` or ``"python"``."""
+
+
+def select_engine(scheme, kernel: str = "auto", approximation=None, reorder=None):
+    """The engine class a build runs on: the one engine choice.
+
+    ``kernel="auto"`` picks :class:`KernelEngine` under the L2 scheme
+    (its sweeps replay L2 normalisation) when the build neither prunes
+    nor sifts (both rewrite the edge DD between gates), and
+    :class:`PythonEngine` otherwise; ``kernel="python"`` always picks
+    the reference.  Both are bit-identical, so the choice changes speed,
+    never an answer.  Raises :class:`EngineError` for any other value.
+    """
+    if kernel not in ("auto", "python"):
+        raise EngineError(f"unknown kernel {kernel!r}; expected 'auto' or 'python'")
+    if (
+        kernel == "auto"
+        and scheme is NormalizationScheme.L2
+        and approximation is None
+        and reorder is None
+    ):
+        return KernelEngine
+    return PythonEngine

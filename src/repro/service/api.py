@@ -178,20 +178,17 @@ class SamplingRequest:
     ``deadline_exceeded`` response while the build keeps running and
     still lands in the cache for the retry.  ``workers`` enables
     seed-stable chunked sampling exactly as in ``simulate_and_sample``.
-    ``kernel`` picks the strong-simulation engine for cold builds
-    (``"auto"``/``"vector"``/``"python"``); the engines are bit-identical,
-    so the artifact cache key deliberately ignores it — a cached artifact
-    serves requests for either engine, and its metadata records which one
-    actually built it.
+    The build picks its own engine; the artifact metadata records which
+    one ran.
 
     ``approximation`` opts into approximate weak simulation (DD methods
     only): an :class:`~repro.dd.approximation.ApproximationConfig`, a
     bare epsilon, or a ``{"epsilon": ...}`` mapping, exactly as in the
-    JSONL/HTTP schema.  Unlike ``kernel``, the approximation contract IS
-    part of the cache key — an ε-approximated artifact is never served
-    for an exact request or for a different ε.  ``epsilon = 0`` (or
-    ``None``) is the exact path, byte-identical to a request without the
-    field.  The response reports the tracked fidelity lower bound.
+    JSONL/HTTP schema.  The approximation contract IS part of the cache
+    key — an ε-approximated artifact is never served for an exact
+    request or for a different ε.  ``epsilon = 0`` (or ``None``) is the
+    exact path, byte-identical to a request without the field.  The
+    response reports the tracked fidelity lower bound.
 
     ``reorder`` opts into dynamic qubit reordering for the DD build
     (DD methods only): a :class:`~repro.dd.reorder.ReorderConfig`,
@@ -236,7 +233,6 @@ class SamplingRequest:
     initial_state: int = 0
     deadline_seconds: Optional[float] = None
     request_id: Optional[str] = None
-    kernel: str = "auto"
     approximation: Optional[Any] = None
     reorder: Optional[Any] = None
     noise_model: Optional[Any] = None
@@ -249,9 +245,10 @@ class SamplingRequest:
         features (``approximation``, ``reorder``, ``noise_model``) pass
         through raw: :meth:`build_spec` parses them when the request is
         served, so a malformed value becomes a ``rejected`` response,
-        not a crash.  Raises :class:`~repro.exceptions.ReproError` (or
-        :class:`ValueError` for a mistyped scalar) for a record that
-        cannot become a request.
+        not a crash.  Fields outside the schema are ignored, ``kernel``
+        among them: the build picks its own engine.  Raises
+        :class:`~repro.exceptions.ReproError` (or :class:`ValueError` for
+        a mistyped scalar) for a record that cannot become a request.
         """
         if "circuit" not in record:
             raise ReproError("request is missing the 'circuit' field")
@@ -272,7 +269,6 @@ class SamplingRequest:
             initial_state=int(record.get("initial_state", 0)),
             deadline_seconds=optional("deadline_seconds", float),
             request_id=optional("request_id", str),
-            kernel=str(record.get("kernel", "auto")),
             approximation=record.get("approximation"),
             reorder=record.get("reorder"),
             noise_model=record.get("noise_model"),
@@ -288,7 +284,6 @@ class SamplingRequest:
             scheme=self.scheme,
             optimize=self.optimize,
             initial_state=self.initial_state,
-            kernel=self.kernel,
             approximation=self.approximation,
             reorder=self.reorder,
             noise=self.noise_model,
@@ -638,7 +633,6 @@ class SamplingService:
                 memory_cap_bytes=self.policy.dense_memory_cap_bytes,
                 workers=request.workers,
                 optimize=spec.optimize,
-                kernel=spec.kernel,
                 approximation=spec.approximation,
                 reorder=spec.reorder,
             )

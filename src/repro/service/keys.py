@@ -124,9 +124,9 @@ def spec_key(
     The byte layout, in order: the fingerprint, the scheme, ``opt`` or
     ``raw``, the initial state, :data:`ARTIFACT_VERSION`, the package
     version, then the enabled features
-    (:meth:`~repro.simulators.build_spec.BuildSpec.fold_key`).  The
-    engine (``spec.kernel``) is left out: both engines build
-    bit-identical artifacts.  ``package_version`` defaults to
+    (:meth:`~repro.simulators.build_spec.BuildSpec.fold_key`).  No
+    engine enters the key: the build picks its own, and both engines
+    build bit-identical artifacts.  ``package_version`` defaults to
     ``repro.__version__``; tests override it to exercise
     version-mismatch invalidation.
     """

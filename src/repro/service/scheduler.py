@@ -186,17 +186,14 @@ class BuildScheduler:
         raises :class:`AdmissionError` here, before a thread is spent.
         ``key`` must be :func:`repro.service.keys.spec_key` of
         ``circuit`` and ``spec`` (a checked
-        :class:`~repro.simulators.build_spec.BuildSpec`).  The engine,
-        ``spec.kernel``, applies to a cold build only — it is NOT part of
-        ``key`` (the engines are bit-identical, so artifacts are
-        interchangeable); coalesced waiters share whichever engine the
-        first request chose, and the stored artifact's metadata records
-        it as ``meta["engine"]``.  Every enabled feature IS part of the
-        key: an ε-approximated artifact never shares a key with an exact
-        one, and a reordered artifact stores level-space arrays whose
-        ``meta["reorder"]`` permutation travels with it so warm hits can
-        unpermute without rebuilding.  ``spec.noise`` routes the build
-        through the density-matrix simulator; noisy builds skip the
+        :class:`~repro.simulators.build_spec.BuildSpec`).  The build picks
+        its own engine, and the stored artifact's metadata records the
+        one that ran as ``meta["engine"]``.  Every enabled feature IS
+        part of the key: an ε-approximated artifact never shares a key
+        with an exact one, and a reordered artifact stores level-space
+        arrays whose ``meta["reorder"]`` permutation travels with it so
+        warm hits can unpermute without rebuilding.  ``spec.noise`` routes
+        the build through the density-matrix simulator; noisy builds skip the
         degradation ladder entirely — no pure-state fallback can
         represent the mixed state — so a memory blowout is a rejection,
         not a degraded answer.
@@ -385,7 +382,6 @@ class BuildScheduler:
         simulator = DDSimulator(
             scheme=spec.scheme,
             optimize=spec.optimize,
-            kernel=spec.kernel,
             approximation=spec.approximation,
             node_limit=node_limit if node_limit else None,
             reorder=spec.reorder,
@@ -411,7 +407,7 @@ class BuildScheduler:
         The optimizer and the vector kernel do not apply here (gate-
         attached noise binds to the circuit as written, and superoperator
         application needs the edge representation), so a noisy build has
-        no ``optimize``/``kernel`` knobs.  The produced
+        no ``optimize`` knob and runs on the density engine.  The produced
         :class:`~repro.perf.compiled_dd.CompiledDD` stores and samples
         exactly like an exact artifact — only the key namespace differs.
         """
@@ -472,28 +468,17 @@ class BuildScheduler:
             "circuit_name": getattr(circuit, "name", None),
         }
         # Provenance only: the engines are bit-identical, so the cache
-        # key ignores the kernel and artifacts built by either engine
-        # serve all requests.  The guarded probes keep duck-typed
+        # key leaves the engine out.  The defaulted probes keep duck-typed
         # simulator doubles (tests, degradation shims) working.
-        try:
-            meta["engine"] = getattr(
-                simulator, "resolved_kernel", lambda: spec.kernel
-            )()
-        except Exception:
-            meta["engine"] = spec.kernel
-        try:
-            meta["kernel_fallbacks"] = getattr(
-                getattr(simulator, "stats", None), "kernel_fallbacks", 0
-            )
-        except Exception:
-            meta["kernel_fallbacks"] = 0
+        stats = getattr(simulator, "stats", None)
+        meta["engine"] = getattr(stats, "kernel", None)
+        meta["kernel_fallbacks"] = getattr(stats, "kernel_fallbacks", 0)
         approximation, reorder = spec.approximation, spec.reorder
         if approximation is not None:
             # The approximation contract travels WITH the artifact: a
             # store hit must be able to report the fidelity bound without
             # re-running the build.
             try:
-                stats = getattr(simulator, "stats", None)
                 meta["approximation"] = {
                     "epsilon": approximation.epsilon,
                     "strategy": approximation.strategy,
@@ -509,7 +494,6 @@ class BuildScheduler:
             # arrays sample in level space, and every hit (disk or hot)
             # must unpermute exactly as the cold path did.
             try:
-                stats = getattr(simulator, "stats", None)
                 level_to_qubit = getattr(stats, "level_to_qubit", None)
                 meta["reorder"] = {
                     "budget": reorder.budget,
@@ -543,15 +527,13 @@ class BuildScheduler:
         ``key`` is the ε-specific cache key — deliberately different
         from the exact request key, so the API layer must hot-cache it
         under ``outcome.key`` and the artifact store never cross-serves
-        the two.  The rung builds without reordering, on the python
-        engine.
+        the two.  The rung builds without reordering, so it runs on the
+        python engine like every approximate build.
         """
         from .keys import spec_key
 
         config = ApproximationConfig(epsilon=self.policy.approx_epsilon)
-        approx_spec = replace(
-            spec, kernel="auto", approximation=config, reorder=None
-        )
+        approx_spec = replace(spec, approximation=config, reorder=None)
         approx_key = spec_key(circuit, approx_spec)
         degraded_reason = (
             f"approximate DD (epsilon={config.epsilon}): {reason}"

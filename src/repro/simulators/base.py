@@ -32,10 +32,11 @@ class SimulationStats:
     #: Rewrite counters from the compile pipeline (empty when the run
     #: was not optimised); see :meth:`repro.compile.CompileStats.to_dict`.
     compile_stats: Dict = field(default_factory=dict)
-    #: Which strong-simulation engine executed the run: ``"python"``
-    #: (reference per-node recursion) or ``"vector"`` (the SoA kernel,
-    #: :mod:`repro.perf.kernel`).  Both are bit-identical.
-    kernel: str = "python"
+    #: Which engine executed the run: ``"vector"`` (the SoA kernel,
+    #: :mod:`repro.perf.kernel`) or ``"python"`` (the reference per-node
+    #: recursion) for a DD build, ``"density"`` for a density-matrix
+    #: build, ``None`` for a dense statevector build.
+    kernel: Optional[str] = None
     #: Edge⇄SoA round trips through the python engine for operations the
     #: kernel does not cover (zero on python runs).
     kernel_fallbacks: int = 0

@@ -1,10 +1,13 @@
-"""The seven settings that decide what a build makes, in one value.
+"""The six settings that decide what a build makes, in one value.
 
 A weak-simulation request is one pipeline — strong simulation into a
-DD, then sampling — and seven settings decide what its strong
+DD, then sampling — and six settings decide what its strong
 simulation produces: ``scheme``, ``optimize``, ``initial_state``,
-``kernel``, ``approximation``, ``reorder`` and ``noise``.
-:class:`BuildSpec` holds them.  Each entry point (``simulate_and_sample``,
+``approximation``, ``reorder`` and ``noise``.
+:class:`BuildSpec` holds them.  (Which engine runs the build is not a
+setting: the build picks it with
+:func:`repro.perf.kernel.select_engine`, and both engines give the same
+answer.)  Each entry point (``simulate_and_sample``,
 ``repro-sample``, the sampling service, ``cache_key``, the simulators)
 builds one with :meth:`BuildSpec.of` and hands it down unchanged, and
 the spec owns the three decisions every layer used to make on its own:
@@ -48,7 +51,6 @@ __all__ = [
     "BuildSpec",
     "BuildSpecError",
     "DD_METHODS",
-    "KERNELS",
     "RULES",
     "Rule",
     "VECTOR_METHODS",
@@ -56,7 +58,6 @@ __all__ = [
 
 VECTOR_METHODS = ("vector", "vector-linear", "vector-ooc", "vector-alias")
 DD_METHODS = ("dd", "dd-path", "dd-multinomial", "dd-collapse")
-KERNELS = ("auto", "vector", "python")
 
 
 def _enabled(config_class: Any, value: Any) -> Any:
@@ -81,7 +82,7 @@ class Rule(NamedTuple):
     falls in the row, where ``path`` is the serving path
     :meth:`BuildSpec.route` chose (``None`` under the circuit-free
     :meth:`BuildSpec.check`); ``message`` is a :meth:`str.format`
-    template over ``method`` and ``kernel``.
+    template over ``method``.
     """
 
     name: str
@@ -100,26 +101,9 @@ RULES = (
         lambda s, m, w, path: m not in DD_METHODS + VECTOR_METHODS,
     ),
     Rule(
-        "unknown-kernel",
-        "unknown kernel {kernel!r}; expected one of ('auto', 'vector', 'python')",
-        lambda s, m, w, path: s.kernel not in KERNELS,
-    ),
-    Rule(
         "workers-needs-dd",
         "parallel chunked sampling requires method='dd'",
         lambda s, m, w, path: w is not None and m != "dd",
-    ),
-    Rule(
-        "vector-kernel-approximation",
-        "approximation runs on the python engine (pruning needs the edge "
-        "representation mid-build); kernel='vector' is unsupported",
-        lambda s, m, w, path: s.kernel == "vector" and s.approximation is not None,
-    ),
-    Rule(
-        "vector-kernel-reorder",
-        "reordering runs on the python engine (sifting needs the edge "
-        "representation mid-build); kernel='vector' is unsupported",
-        lambda s, m, w, path: s.kernel == "vector" and s.reorder is not None,
     ),
     Rule(
         "approximation-vector-method",
@@ -180,7 +164,6 @@ class BuildSpec:
     scheme: NormalizationScheme = NormalizationScheme.L2
     optimize: bool = True
     initial_state: int = 0
-    kernel: str = "auto"
     approximation: Optional[ApproximationConfig] = None
     reorder: Optional[ReorderConfig] = None
     noise: Optional[NoiseModel] = None
@@ -191,7 +174,6 @@ class BuildSpec:
         scheme: NormalizationScheme = NormalizationScheme.L2,
         optimize: bool = True,
         initial_state: int = 0,
-        kernel: str = "auto",
         approximation: Any = None,
         reorder: Any = None,
         noise: Any = None,
@@ -214,7 +196,6 @@ class BuildSpec:
             scheme=scheme,
             optimize=optimize if noise is None else False,
             initial_state=initial_state,
-            kernel=kernel,
             approximation=_enabled(ApproximationConfig, approximation),
             reorder=_enabled(ReorderConfig, reorder),
             noise=noise,
@@ -223,9 +204,9 @@ class BuildSpec:
     def check(self, method: str = "dd", workers: Optional[int] = None) -> None:
         """Raise :class:`BuildSpecError` for the first :data:`RULES` row broken.
 
-        The circuit-free check, for callers that hold no circuit (the
-        simulators, ``sample_dd``): it skips the shot-executor rows,
-        which only :meth:`route` can decide.
+        The circuit-free check, for callers that hold no circuit
+        (``sample_dd``): it skips the shot-executor rows, which only
+        :meth:`route` can decide.
         """
         self._raise_broken(method, workers, None)
 
@@ -261,9 +242,7 @@ class BuildSpec:
     ) -> None:
         for rule in RULES:
             if rule.breaks(self, method, workers, path):
-                raise BuildSpecError(
-                    rule.message.format(method=method, kernel=self.kernel)
-                )
+                raise BuildSpecError(rule.message.format(method=method))
 
     def fold_key(self, hasher: Any) -> None:
         """Feed the enabled features into an artifact-key ``hasher``.

@@ -33,6 +33,7 @@ from ..dd.reorder import (
     unpermute_index,
 )
 from ..dd.vector_dd import VectorDD
+from ..perf.kernel import select_engine
 from .base import SimulationStats, StrongSimulator
 from .build_spec import BuildSpec
 
@@ -67,13 +68,13 @@ class DDSimulator(StrongSimulator):
     ``apply`` spans, periodic DD/RSS probes) and the run's counters are
     absorbed into the session's metrics registry.
 
-    ``kernel`` selects the strong-simulation engine: ``"python"`` is the
-    reference per-node recursion, ``"vector"`` the structure-of-arrays
-    kernel (:mod:`repro.perf.kernel`), and ``"auto"`` (the default)
-    picks the vector kernel under the L2 scheme and the python engine
-    otherwise.  Both engines are bit-identical — same final DD weights,
-    same compiled arrays, same samples at equal seed — so the choice is
-    purely a performance knob.
+    The build picks its engine (:func:`repro.perf.kernel.select_engine`):
+    the structure-of-arrays kernel under the L2 scheme when the build
+    neither approximates nor reorders, the python reference otherwise.
+    Both are bit-identical — same final DD weights, same compiled
+    arrays, same samples at equal seed — and one loop drives either.
+    ``kernel="python"`` forces the reference (the bit-identity tests and
+    the bench's python column use it); ``"auto"`` is the default.
     """
 
     def __init__(
@@ -90,20 +91,15 @@ class DDSimulator(StrongSimulator):
         node_limit: Optional[int] = None,
         reorder: Optional[ReorderConfig] = None,
     ):
-        # Engine conflicts (kernel='vector' with approximation or
-        # reordering) raise BuildSpecError, a ValueError.
         spec = BuildSpec.of(
             scheme=scheme,
             optimize=optimize,
-            kernel=kernel,
             approximation=approximation,
             reorder=reorder,
         )
-        spec.check()
         if node_limit is not None and node_limit < 1:
             raise ValueError(f"node_limit must be >= 1, got {node_limit}")
         self.package = package if package is not None else DDPackage(scheme=scheme)
-        self.kernel = kernel
         self.use_fast_paths = use_fast_paths
         self.track_peak = track_peak
         #: Run the compile pipeline (:mod:`repro.compile`) on every input
@@ -133,6 +129,9 @@ class DDSimulator(StrongSimulator):
         #: rounds with gate application (``dynamic``), recording the
         #: final level-to-qubit permutation in :attr:`stats`.
         self.reorder = spec.reorder
+        self._engine = select_engine(
+            self.package.scheme, kernel, self.approximation, self.reorder
+        )
         self._stats = SimulationStats()
 
     @property
@@ -150,20 +149,8 @@ class DDSimulator(StrongSimulator):
             return self._run_traced(circuit, initial_state)
 
     def resolved_kernel(self) -> str:
-        """The engine a :meth:`run` will use: ``"vector"`` or ``"python"``.
-
-        ``"auto"`` resolves to the vector kernel under the L2 scheme
-        (the batched sweeps replay L2 normalisation) and to the python
-        reference otherwise.  Approximation and reordering always
-        resolve to python: pruning and sifting need the edge
-        representation mid-build.
-        """
-        if self.approximation is not None or self.reorder is not None:
-            return "python"
-        if self.kernel == "auto":
-            scheme = getattr(self.package, "scheme", None)
-            return "vector" if scheme is NormalizationScheme.L2 else "python"
-        return self.kernel
+        """The engine a :meth:`run` will use: ``"vector"`` or ``"python"``."""
+        return self._engine.name
 
     def _run_traced(self, circuit: QuantumCircuit, initial_state: int) -> VectorDD:
         """The :meth:`run` body, executed under the active telemetry (if any)."""
@@ -174,13 +161,12 @@ class DDSimulator(StrongSimulator):
                 circuit, tolerance=package.tolerance
             )
             compile_stats = rewrite.to_dict()
-        if self.resolved_kernel() == "vector":
-            return self._run_kernel(circuit, initial_state, compile_stats)
+        num_qubits = circuit.num_qubits
         reorder = self.reorder
         # ``initial_order[l]`` = original qubit at level ``l`` after the
         # static relabel; ``dyn_perm`` tracks dynamic sifting on top of
         # it (in relabelled space).  The composition lands in stats.
-        initial_order = tuple(range(circuit.num_qubits))
+        initial_order = tuple(range(num_qubits))
         if reorder is not None and reorder.static:
             from ..compile import apply_initial_order
 
@@ -189,147 +175,153 @@ class DDSimulator(StrongSimulator):
                 layout_span.set_attr(
                     "identity", is_identity_permutation(initial_order)
                 )
-        dyn_perm = list(range(circuit.num_qubits))
+        dyn_perm = list(range(num_qubits))
         sift_budget = reorder.budget if reorder is not None else 0
-        applier = GateApplier(
-            package, circuit.num_qubits, use_fast_paths=self.use_fast_paths
-        )
         if not is_identity_permutation(initial_order) and initial_state:
             # Level l now holds original qubit initial_order[l], so the
             # initial basis index must be permuted into level space.
             initial_state = unpermute_index(
                 initial_state, invert_permutation(initial_order)
             )
-        state = package.basis_state(circuit.num_qubits, initial_state)
-        self._stats = SimulationStats(num_qubits=circuit.num_qubits)
-        self._stats.compile_stats = compile_stats
+        applier = GateApplier(package, num_qubits, use_fast_paths=self.use_fast_paths)
+        engine = self._engine(package, num_qubits, applier)
+        engine.load(package.basis_state(num_qubits, initial_state))
+        stats = self._stats = SimulationStats(
+            num_qubits=num_qubits, compile_stats=compile_stats, kernel=engine.name
+        )
         approximator = (
-            Approximator(
-                self.approximation, circuit.num_operations, package=package
-            )
+            Approximator(self.approximation, circuit.num_operations, package=package)
             if self.approximation is not None
             else None
         )
-        peak = package.node_count(state) if self.track_peak else 0
+        peak = engine.node_count() if self.track_peak else 0
         # Single hot-path hook: the per-gate span and probe code run only
         # when a session is active; the disabled path is the plain loop.
         session = _telemetry.active()
         build_span = (
-            session.span("build", num_qubits=circuit.num_qubits, backend="dd")
+            session.span("build", num_qubits=num_qubits, backend="dd")
             if session is not None
             else _telemetry.NULL_SPAN
         )
         # ``qubit_to_level`` redirects gates onto the current dynamic
         # order; ``None`` while the order is untouched (the common case).
         qubit_to_level: Optional[list] = None
-        with build_span:
+        # The kernel span must be created *inside* the build span's
+        # context: the tracer assigns parents at creation time.
+        with build_span, (
+            session.span("build.kernel", engine="vector")
+            if session is not None and engine.name == "vector"
+            else _telemetry.NULL_SPAN
+        ) as kernel_span:
             for instruction in circuit:
                 if isinstance(instruction, (Measurement, Barrier)):
                     continue
                 if qubit_to_level is not None:
-                    instruction = permute_instruction(
-                        instruction, qubit_to_level
-                    )
+                    instruction = permute_instruction(instruction, qubit_to_level)
                 if session is not None:
                     with session.span("apply", gate=_gate_label(instruction)):
-                        state = applier.apply(state, instruction)
+                        engine.apply(instruction)
                 else:
-                    state = applier.apply(state, instruction)
-                self._stats.applied_operations += 1
-                applied = self._stats.applied_operations
+                    engine.apply(instruction)
+                stats.applied_operations += 1
+                applied = stats.applied_operations
                 if self.track_peak:
-                    peak = max(peak, package.node_count(state))
+                    peak = max(peak, engine.node_count())
                 if approximator is not None and approximator.due(applied):
-                    state = self._approx_round(
-                        approximator, state, circuit.num_qubits, session
+                    engine.load(
+                        self._approx_round(
+                            approximator, engine.to_edge(), num_qubits, session
+                        )
                     )
                 if (
                     reorder is not None
                     and reorder.dynamic
                     and sift_budget > 0
                     and applied % reorder.interval == 0
-                    and package.node_count(state) >= reorder.min_nodes
+                    and engine.node_count() >= reorder.min_nodes
                 ):
                     result = sift(
                         package,
-                        state,
-                        circuit.num_qubits,
+                        engine.to_edge(),
+                        num_qubits,
                         budget=sift_budget,
                         level_to_qubit=dyn_perm,
                     )
-                    state = result.edge
+                    engine.load(result.edge)
                     sift_budget -= result.swaps_attempted
                     if result.swaps_attempted:
-                        self._stats.reorder_rounds += 1
-                        self._stats.reorder_swaps += result.swaps_attempted
-                        self._stats.reorder_swaps_kept += result.swaps_kept
+                        stats.reorder_rounds += 1
+                        stats.reorder_swaps += result.swaps_attempted
+                        stats.reorder_swaps_kept += result.swaps_kept
                     if result.changed:
                         dyn_perm[:] = result.level_to_qubit
                         qubit_to_level = list(invert_permutation(dyn_perm))
                 if (
                     self.node_limit is not None
                     and applied % NODE_LIMIT_CHECK_INTERVAL == 0
-                    and package.node_count(state) > self.node_limit
+                    and engine.node_count() > self.node_limit
                 ):
                     raise MemoryError(
-                        f"DD grew to {package.node_count(state)} nodes after "
+                        f"DD grew to {engine.node_count()} nodes after "
                         f"{applied} gates, over the limit of {self.node_limit}"
                     )
                 if session is not None and session.prober.due(applied):
                     session.prober.record(
                         session.tracer.clock(),
                         applied,
-                        state_nodes=package.node_count(state),
-                        unique_nodes=len(package.unique_table),
+                        state_nodes=engine.node_count(),
+                        unique_nodes=engine.table_size(),
                     )
                 if (
                     self.auto_compact_threshold
-                    and len(package.unique_table) > self.auto_compact_threshold
+                    and engine.table_size() > self.auto_compact_threshold
                 ):
-                    state = package.compact([state])[0]
-                    applier = GateApplier(
-                        package, circuit.num_qubits, use_fast_paths=self.use_fast_paths
-                    )
+                    engine.compact()
             if approximator is not None:
-                state = self._approx_round(
-                    approximator, state, circuit.num_qubits, session, final=True
+                engine.load(
+                    self._approx_round(
+                        approximator, engine.to_edge(), num_qubits, session, final=True
+                    )
                 )
-        self._stats.strategy_counts = applier.strategy_counts()
-        self._stats.diagonal_term_applications = applier.diagonal_term_applications
-        self._stats.final_dd_nodes = package.node_count(state)
-        self._stats.peak_dd_nodes = max(peak, self._stats.final_dd_nodes)
+        state = engine.to_edge()
+        stats.strategy_counts = applier.strategy_counts()
+        stats.diagonal_term_applications = applier.diagonal_term_applications
+        stats.kernel_fallbacks = engine.stats.fallbacks
+        stats.kernel_levels = engine.stats.levels_processed
+        stats.kernel_batched_levels = engine.stats.batched_levels
+        stats.final_dd_nodes = package.node_count(state)
+        stats.peak_dd_nodes = max(peak, stats.final_dd_nodes)
         if approximator is not None:
-            self._stats.approx_rounds = approximator.rounds
-            self._stats.approx_removed_edges = approximator.removed_edges
-            self._stats.approx_removed_mass = approximator.removed_mass
-            self._stats.fidelity_bound = approximator.fidelity_bound
+            stats.approx_rounds = approximator.rounds
+            stats.approx_removed_edges = approximator.removed_edges
+            stats.approx_removed_mass = approximator.removed_mass
+            stats.fidelity_bound = approximator.fidelity_bound
         if reorder is not None:
             # Compose static layout and dynamic sifting into one map
             # from final DD level to original circuit qubit.
-            self._stats.level_to_qubit = tuple(
-                initial_order[label] for label in dyn_perm
-            )
-        if (
-            self.node_limit is not None
-            and self._stats.final_dd_nodes > self.node_limit
-        ):
+            stats.level_to_qubit = tuple(initial_order[label] for label in dyn_perm)
+        if self.node_limit is not None and stats.final_dd_nodes > self.node_limit:
             raise MemoryError(
-                f"final DD has {self._stats.final_dd_nodes} nodes, over the "
+                f"final DD has {stats.final_dd_nodes} nodes, over the "
                 f"limit of {self.node_limit}"
             )
         if session is not None:
-            build_span.set_attr("applied_operations", self._stats.applied_operations)
-            build_span.set_attr("final_dd_nodes", self._stats.final_dd_nodes)
+            build_span.set_attr("applied_operations", stats.applied_operations)
+            build_span.set_attr("final_dd_nodes", stats.final_dd_nodes)
             if approximator is not None:
                 build_span.set_attr("fidelity_bound", approximator.fidelity_bound)
             if reorder is not None:
-                build_span.set_attr("reorder_rounds", self._stats.reorder_rounds)
-                build_span.set_attr(
-                    "reorder_swaps_kept", self._stats.reorder_swaps_kept
+                build_span.set_attr("reorder_rounds", stats.reorder_rounds)
+                build_span.set_attr("reorder_swaps_kept", stats.reorder_swaps_kept)
+            if engine.name == "vector":
+                kernel_span.set_attr("fallbacks", engine.stats.fallbacks)
+                kernel_span.set_attr("levels", engine.stats.levels_processed)
+                session.registry.counter("kernel.levels").inc(
+                    engine.stats.levels_processed
                 )
-            session.registry.record_build(self._stats)
+            session.registry.record_build(stats)
             session.registry.record_dd_tables(package.stats())
-        return VectorDD(package, state, circuit.num_qubits)
+        return VectorDD(package, state, num_qubits)
 
     def _approx_round(
         self,
@@ -354,112 +346,6 @@ class DDSimulator(StrongSimulator):
                 span.set_attr("nodes_before", result.nodes_before)
                 span.set_attr("nodes_after", result.nodes_after)
         return pruned.edge
-
-    def _run_kernel(
-        self, circuit: QuantumCircuit, initial_state: int, compile_stats: dict
-    ) -> VectorDD:
-        """The :meth:`run` body on the structure-of-arrays kernel.
-
-        Mirrors the python loop: same spans, probes, peak tracking, and
-        auto-compaction (on the SoA row count rather than the unique
-        table, which the kernel only populates at conversion time).
-        """
-        from ..perf import kernel as kernel_mod
-
-        package = self.package
-        applier = GateApplier(
-            package, circuit.num_qubits, use_fast_paths=self.use_fast_paths
-        )
-        # The threshold is read through the module attribute so tests can
-        # force the batched (or scalar) level sweep for identity checks.
-        engine = kernel_mod.KernelEngine(
-            package,
-            circuit.num_qubits,
-            applier,
-            batch_min_width=kernel_mod.DEFAULT_BATCH_MIN_WIDTH,
-        )
-        engine.load(package.basis_state(circuit.num_qubits, initial_state))
-        self._stats = SimulationStats(num_qubits=circuit.num_qubits)
-        self._stats.compile_stats = compile_stats
-        self._stats.kernel = "vector"
-        peak = engine.state.node_count() if self.track_peak else 0
-        session = _telemetry.active()
-        build_span = (
-            session.span("build", num_qubits=circuit.num_qubits, backend="dd")
-            if session is not None
-            else _telemetry.NULL_SPAN
-        )
-        # The kernel span must be created *inside* the build span's
-        # context: the tracer assigns parents at creation time.
-        with build_span, (
-            session.span("build.kernel", engine="vector")
-            if session is not None
-            else _telemetry.NULL_SPAN
-        ) as kernel_span:
-            for instruction in circuit:
-                if isinstance(instruction, (Measurement, Barrier)):
-                    continue
-                if session is not None:
-                    with session.span("apply", gate=_gate_label(instruction)):
-                        engine.apply(instruction)
-                else:
-                    engine.apply(instruction)
-                self._stats.applied_operations += 1
-                if (
-                    self.node_limit is not None
-                    and self._stats.applied_operations
-                    % NODE_LIMIT_CHECK_INTERVAL
-                    == 0
-                    and engine.state.node_count() > self.node_limit
-                ):
-                    raise MemoryError(
-                        f"DD grew to {engine.state.node_count()} nodes after "
-                        f"{self._stats.applied_operations} gates, over the "
-                        f"limit of {self.node_limit}"
-                    )
-                if session is not None and session.prober.due(
-                    self._stats.applied_operations
-                ):
-                    session.prober.record(
-                        session.tracer.clock(),
-                        self._stats.applied_operations,
-                        state_nodes=engine.state.node_count(),
-                        unique_nodes=engine.state.total_rows(),
-                    )
-                if self.track_peak:
-                    peak = max(peak, engine.state.node_count())
-                if (
-                    self.auto_compact_threshold
-                    and engine.state.total_rows() > self.auto_compact_threshold
-                ):
-                    engine.compact()
-        state = engine.to_edge()
-        self._stats.strategy_counts = applier.strategy_counts()
-        self._stats.diagonal_term_applications = applier.diagonal_term_applications
-        self._stats.kernel_fallbacks = engine.stats.fallbacks
-        self._stats.kernel_levels = engine.stats.levels_processed
-        self._stats.kernel_batched_levels = engine.stats.batched_levels
-        self._stats.final_dd_nodes = package.node_count(state)
-        self._stats.peak_dd_nodes = max(peak, self._stats.final_dd_nodes)
-        if (
-            self.node_limit is not None
-            and self._stats.final_dd_nodes > self.node_limit
-        ):
-            raise MemoryError(
-                f"final DD has {self._stats.final_dd_nodes} nodes, over the "
-                f"limit of {self.node_limit}"
-            )
-        if session is not None:
-            build_span.set_attr("applied_operations", self._stats.applied_operations)
-            build_span.set_attr("final_dd_nodes", self._stats.final_dd_nodes)
-            kernel_span.set_attr("fallbacks", engine.stats.fallbacks)
-            kernel_span.set_attr("levels", engine.stats.levels_processed)
-            session.registry.counter("kernel.levels").inc(
-                engine.stats.levels_processed
-            )
-            session.registry.record_build(self._stats)
-            session.registry.record_dd_tables(package.stats())
-        return VectorDD(package, state, circuit.num_qubits)
 
     def run_iterated(
         self,

@@ -213,7 +213,7 @@ class DensityMatrixSimulator(StrongSimulator):
         rho = DensityMatrixDD.basis_state(
             package, num_qubits, initial_state
         ).edge
-        self._stats = SimulationStats(num_qubits=num_qubits)
+        self._stats = SimulationStats(num_qubits=num_qubits, kernel="density")
         channels = self.noise.gate_channels() if self.noise is not None else ()
         dephase = dephasing()
         op_cache = OperationDDCache(package, num_qubits)

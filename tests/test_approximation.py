@@ -286,10 +286,6 @@ class TestSimulatorIntegration:
             state.probabilities(), reference.probabilities(), atol=1e-12
         )
 
-    def test_vector_kernel_rejects_approximation(self):
-        with pytest.raises(ValueError):
-            DDSimulator(kernel="vector", approximation=0.05)
-
     def test_auto_kernel_coerces_to_python(self):
         simulator = DDSimulator(kernel="auto", approximation=0.05)
         assert simulator.resolved_kernel() == "python"

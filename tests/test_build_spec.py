@@ -11,11 +11,11 @@ Three contracts are pinned here:
   ``repro.simulators.build_spec.RULES`` to a request that breaks that
   row and no other; every surface (library, ``SamplingService``, JSONL
   batch, ``repro-sample``) must refuse it with the row's message.
-* **The ``kernel="vector"`` bugfix.**  Approximation or reordering on
-  the vector engine is refused everywhere, including over HTTP.
+* **The docs table.**  ``docs/api.md`` carries the table by row name,
+  and ``tools/check_docs.py`` keeps it, and every citation of a row, in
+  step with the code.
 """
 
-import asyncio
 import io
 import json
 import sys
@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.qft import qft
-from repro.algorithms.states import bell_pair, ghz
+from repro.algorithms.states import ghz
 from repro.cli import main as cli_main
 from repro.core.weak_sim import simulate_and_sample
 from repro.dd.approximation import ApproximationConfig
@@ -32,16 +32,13 @@ from repro.dd.normalization import NormalizationScheme
 from repro.dd.reorder import ReorderConfig
 from repro.exceptions import DDError, NoiseError, SamplingError
 from repro.noise.model import NoiseModel
-from repro.service.__main__ import main as service_main
 from repro.service.__main__ import run_batch
 from repro.service.api import SamplingRequest, SamplingService, resolve_circuit
 from repro.service.keys import cache_key, spec_key
-from repro.service.net import HttpFrontDoor, http_request, post_json
-from repro.service.pool import PoolConfig, WorkerPool
+from repro.service.pool import WorkerPool
 from repro.service.scheduler import ServicePolicy
 from repro.simulators import build_spec
 from repro.simulators.build_spec import RULES, BuildSpec, BuildSpecError
-from repro.simulators.dd_simulator import DDSimulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -186,7 +183,11 @@ def test_noise_key_is_the_unoptimized_key(case):
         {"reorder": False},
         {"noise_model": 0.01},
         {"noise_model": {"depolarizing": 0.0}},
+        # The build picks its engine; a kernel field is ignored.
         {"kernel": "python"},
+        {"kernel": "vector"},
+        {"kernel": "bogus"},
+        {"kernel": "vector", "approximation": 0.05},
     ],
 )
 def test_service_key_is_cache_key_of_the_request(fields):
@@ -319,10 +320,7 @@ BELL_QASM = (
 #: route).
 RULE_CASES = {
     "unknown-method": {"method": "psychic"},
-    "unknown-kernel": {"kernel": "bogus"},
     "workers-needs-dd": {"method": "dd-path", "workers": 2},
-    "vector-kernel-approximation": {"kernel": "vector", "approximation": 0.05},
-    "vector-kernel-reorder": {"kernel": "vector", "reorder": True},
     "approximation-vector-method": {"method": "vector", "approximation": 0.05},
     "reorder-vector-method": {"method": "vector", "reorder": True},
     "noise-needs-dd": {"method": "dd-path", "noise_model": 0.01},
@@ -337,8 +335,6 @@ RULE_CASES = {
 #: ``--cache-dir``.
 CLI_FLAGS = {
     "workers-needs-dd": ["--method", "dd-path", "--workers", "2"],
-    "vector-kernel-approximation": ["--kernel", "vector", "--approx-epsilon", "0.05"],
-    "vector-kernel-reorder": ["--kernel", "vector", "--reorder"],
     "approximation-vector-method": ["--method", "vector", "--approx-epsilon", "0.05"],
     "reorder-vector-method": ["--method", "vector", "--reorder"],
     "noise-needs-dd": ["--method", "dd-path", "--noise-strength", "0.01"],
@@ -349,9 +345,9 @@ CLI_FLAGS = {
     "per-shot-reorder": ["--reorder"],
 }
 
-#: Rows no flag combination reaches: argparse restricts ``--method``
-#: and ``--kernel`` to their choices.
-CLI_UNREACHABLE = {"unknown-method", "unknown-kernel"}
+#: Rows no flag combination reaches: argparse restricts ``--method`` to
+#: its choices.
+CLI_UNREACHABLE = {"unknown-method"}
 
 
 def _record(fields):
@@ -367,9 +363,7 @@ def _record(fields):
 def _message(name):
     fields = RULE_CASES[name]
     rule = next(rule for rule in RULES if rule.name == name)
-    return rule.message.format(
-        method=fields.get("method", "dd"), kernel=fields.get("kernel", "auto")
-    )
+    return rule.message.format(method=fields.get("method", "dd"))
 
 
 def test_every_row_has_a_case():
@@ -458,68 +452,6 @@ def test_cli_exits_2_with_the_row_message(name, cached, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# kernel="vector" with approximation or reordering: refused everywhere
-# ---------------------------------------------------------------------------
-
-VECTOR_ENGINE_CASES = ["vector-kernel-approximation", "vector-kernel-reorder"]
-
-
-@pytest.mark.parametrize("name", VECTOR_ENGINE_CASES)
-def test_library_and_simulator_raise_value_error(name):
-    fields = RULE_CASES[name]
-    with pytest.raises(ValueError, match="kernel='vector' is unsupported"):
-        simulate_and_sample(bell_pair(), 10, seed=1, **fields)
-    with pytest.raises(ValueError, match="kernel='vector' is unsupported"):
-        DDSimulator(**fields)
-
-
-def test_jsonl_batch_mode_rejects_vector_engine_features(tmp_path):
-    requests = tmp_path / "requests.jsonl"
-    answers = tmp_path / "answers.jsonl"
-    requests.write_text(
-        "".join(json.dumps(_record(RULE_CASES[name])) + "\n" for name in VECTOR_ENGINE_CASES)
-    )
-    assert service_main(["--requests", str(requests), "--out", str(answers)]) == 1
-    records = [json.loads(line) for line in answers.read_text().splitlines()]
-    assert [(record["status"], record["error"]) for record in records] == [
-        ("rejected", _message(name)) for name in VECTOR_ENGINE_CASES
-    ]
-
-
-def test_http_rejects_vector_engine_features(tmp_path):
-    pool = WorkerPool(workers=1, config=PoolConfig(cache_dir=str(tmp_path))).start()
-    records = [_record(RULE_CASES[name]) for name in VECTOR_ENGINE_CASES]
-
-    async def scenario():
-        front = HttpFrontDoor(pool, port=0)
-        await front.start()
-        try:
-            singles = [
-                await post_json(front.host, front.port, "/v1/sample", record)
-                for record in records
-            ]
-            batch = await http_request(
-                front.host,
-                front.port,
-                "POST",
-                "/v1/batch",
-                body="\n".join(json.dumps(record) for record in records).encode(),
-            )
-            return singles, batch
-        finally:
-            await front.drain(pool_timeout=60.0)
-
-    singles, (status, _headers, body) = asyncio.run(scenario())
-    expected = [("rejected", _message(name)) for name in VECTOR_ENGINE_CASES]
-    assert [code for code, _payload in singles] == [400, 400]
-    assert [(p["status"], p["error"]) for _code, p in singles] == expected
-    assert status == 200
-    lines = [json.loads(line) for line in body.decode().splitlines()]
-    assert [(line["status"], line["error"]) for line in lines] == expected
-    assert pool.exit_codes() == [0]
-
-
-# ---------------------------------------------------------------------------
 # The docs table (tools/check_docs.py)
 # ---------------------------------------------------------------------------
 
@@ -528,13 +460,17 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 import check_docs  # noqa: E402  (needs the tools/ dir on the path)
 
 
-def _rule_table(messages):
-    rows = "".join(
-        f"| {number} | combination | `{message}` | reason |\n"
-        for number, message in enumerate(messages, start=1)
+#: The table as ``RULES`` has it: (name, message) per row, in order.
+RULE_ROWS = [(rule.name, rule.message) for rule in RULES]
+
+
+def _rule_table(rows):
+    body = "".join(
+        f"| `{name}` | combination | `{message}` | reason |\n"
+        for name, message in rows
     )
-    header = "| # | combination | message | why |\n|---|---|---|---|\n"
-    return "# Doc\n\n## Combination rules\n\n" + header + rows
+    header = "| rule | combination | message | why |\n|---|---|---|---|\n"
+    return "# Doc\n\n## Combination rules\n\n" + header + body
 
 
 def _problems(tmp_path, text):
@@ -547,27 +483,52 @@ def _problems(tmp_path, text):
 
 def test_docs_rule_table_matches_the_code():
     text = check_docs.RULE_TABLE_DOC.read_text(encoding="utf-8")
-    documented = [message for _line, message in check_docs.rule_table_rows(text)]
-    assert documented == [rule.message for rule in RULES]
+    documented = [(name, message) for _line, name, message in check_docs.rule_table_rows(text)]
+    assert documented == RULE_ROWS
 
 
 def test_docs_check_accepts_the_exact_table(tmp_path):
-    assert _problems(tmp_path, _rule_table([rule.message for rule in RULES])) == []
+    assert _problems(tmp_path, _rule_table(RULE_ROWS)) == []
 
 
 def test_docs_check_flags_reordered_rows(tmp_path):
-    messages = [rule.message for rule in RULES]
-    messages[8], messages[9] = messages[9], messages[8]
-    problems = _problems(tmp_path, _rule_table(messages))
+    rows = list(RULE_ROWS)
+    rows[8], rows[9] = rows[9], rows[8]
+    problems = _problems(tmp_path, _rule_table(rows))
     assert len(problems) == 1 and "rule table row 9" in problems[0]
 
 
 def test_docs_check_flags_changed_wording_and_missing_rows(tmp_path):
-    messages = [rule.message for rule in RULES]
-    reworded = messages[:10] + ["noise and workers do not mix"] + messages[11:]
-    assert any("row 11" in p for p in _problems(tmp_path, _rule_table(reworded)))
-    short = _problems(tmp_path, _rule_table(messages[:-1]))
+    last = len(RULES) - 1
+    reworded = list(RULE_ROWS)
+    reworded[last] = (reworded[last][0], "reordering does not mix with measurement")
+    problems = _problems(tmp_path, _rule_table(reworded))
+    assert any(f"row {len(RULES)}" in p for p in problems)
+    short = _problems(tmp_path, _rule_table(RULE_ROWS[:-1]))
     assert any(f"{len(RULES) - 1} rows" in p for p in short)
+
+
+def test_docs_check_flags_a_wrong_rule_name(tmp_path):
+    renamed = list(RULE_ROWS)
+    renamed[1] = ("workers-need-dd", renamed[1][1])
+    problems = _problems(tmp_path, _rule_table(renamed))
+    assert len(problems) == 1
+    assert "rule table row 2" in problems[0] and "workers-need-dd" in problems[0]
+
+
+def test_docs_check_flags_rows_cited_by_number(tmp_path):
+    # A number goes stale whenever a row is added or removed; a name
+    # does not.  Citations may wrap across lines; code blocks are exempt.
+    text = _rule_table(RULE_ROWS) + (
+        "\nNoisy requests break rows 4–7 of the table.\n"
+        "The mid-circuit rows\n9–10 apply too, and so does row 2.\n"
+        "Cite `noise-workers` by name instead.\n"
+        "\n```\nrow 3 in a code block\n```\n"
+    )
+    problems = _problems(tmp_path, text)
+    assert [p.split(" cites")[0] for p in problems] == [
+        "'rows 4'", "'rows 9'", "'row 2'"
+    ]
 
 
 def test_docs_check_requires_the_table_in_its_document(tmp_path, monkeypatch):

@@ -122,3 +122,13 @@ def test_relative_guard_zero_snap_stays_absolute():
 def test_negative_relative_tolerance_rejected():
     with pytest.raises(ValueError):
         ComplexTable(relative_tolerance=-1e-12)
+
+
+def test_clear_keeps_the_relative_guard():
+    # clear() used to re-run __init__ with the absolute tolerance only,
+    # silently turning the relative guard off for the rest of the run.
+    table = ComplexTable(tolerance=1e-14, relative_tolerance=1e-12)
+    table.clear()
+    assert table.relative_tolerance == 1e-12
+    first = table.lookup(5e-11 + 0j)
+    assert table.lookup(5e-11 + 5e-15 + 0j) != first

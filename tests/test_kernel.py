@@ -113,7 +113,7 @@ class TestBitIdentity:
     def test_random_circuits_bit_identical(self):
         for seed in range(4):
             circuit = random_circuit(5, 40, seed=300 + seed)
-            vector = DDSimulator(kernel="vector").run(circuit)
+            vector = DDSimulator().run(circuit)
             python = DDSimulator(kernel="python").run(circuit)
             assert np.array_equal(
                 vector.probabilities(), python.probabilities()
@@ -121,7 +121,7 @@ class TestBitIdentity:
 
     def test_qft_samples_bit_identical(self):
         circuit = qft(8)
-        vector = DDSimulator(kernel="vector").run(circuit)
+        vector = DDSimulator().run(circuit)
         python = DDSimulator(kernel="python").run(circuit)
         drawn_v = DDSampler(vector).compiled().sample(
             5000, np.random.default_rng(17)
@@ -138,39 +138,121 @@ class TestBitIdentity:
         circuit = random_circuit(6, 50, seed=77)
         python = DDSimulator(kernel="python").run(circuit).probabilities()
         monkeypatch.setattr(kernel_mod, "DEFAULT_BATCH_MIN_WIDTH", 1)
-        batched = DDSimulator(kernel="vector").run(circuit).probabilities()
+        batched = DDSimulator().run(circuit).probabilities()
         monkeypatch.setattr(kernel_mod, "DEFAULT_BATCH_MIN_WIDTH", 10**9)
-        scalar = DDSimulator(kernel="vector").run(circuit).probabilities()
+        scalar = DDSimulator().run(circuit).probabilities()
         assert np.array_equal(batched, scalar)
         assert np.array_equal(batched, python)
 
     def test_batched_levels_actually_ran(self, monkeypatch):
         monkeypatch.setattr(kernel_mod, "DEFAULT_BATCH_MIN_WIDTH", 1)
-        simulator = DDSimulator(kernel="vector")
+        simulator = DDSimulator()
         simulator.run(random_circuit(6, 50, seed=78))
         assert simulator.stats.kernel == "vector"
         assert simulator.stats.kernel_batched_levels > 0
 
 
 class TestKernelSelection:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            DDSimulator(kernel="bogus")
+    """The one engine choice, made alike by DDSimulator and ShotExecutor."""
+
+    L2_CASES = [
+        ({}, "vector"),
+        ({"kernel": "python"}, "python"),
+    ]
+    DD_ONLY_CASES = [
+        ({"approximation": 0.05}, "python"),
+        ({"reorder": True}, "python"),
+        ({"approximation": 0.05, "kernel": "python"}, "python"),
+    ]
+
+    @staticmethod
+    def _executor_engine(executor: ShotExecutor) -> str:
+        executor.run(10, seed=1)
+        return "vector" if executor.stats["kernel_segments"] else "python"
 
     def test_auto_resolves_by_scheme(self):
-        assert DDSimulator(kernel="auto").resolved_kernel() == "vector"
-        leftmost = DDSimulator(
-            scheme=NormalizationScheme.LEFTMOST, kernel="auto"
-        )
-        assert leftmost.resolved_kernel() == "python"
-        assert DDSimulator(kernel="python").resolved_kernel() == "python"
+        # L2 picks the SoA kernel; LEFTMOST, approximation, reordering
+        # and the python switch pick the reference.
+        for settings, engine in self.L2_CASES + self.DD_ONLY_CASES:
+            assert DDSimulator(**settings).resolved_kernel() == engine
+            leftmost = DDSimulator(scheme=NormalizationScheme.LEFTMOST, **settings)
+            assert leftmost.resolved_kernel() == "python"
+
+    def test_executor_makes_the_same_choice(self):
+        circuit = TestExecutorFallbacks._mid_circuit()
+        for settings, engine in self.L2_CASES:
+            executor = ShotExecutor(circuit, **settings)
+            assert self._executor_engine(executor) == engine
+            leftmost = ShotExecutor(
+                circuit, scheme=NormalizationScheme.LEFTMOST, **settings
+            )
+            assert self._executor_engine(leftmost) == "python"
+
+    def test_unknown_kernel_rejected(self):
+        # "auto" and "python" are the only switches left.
+        for kernel in ("vector", "bogus"):
+            with pytest.raises(ValueError):
+                DDSimulator(kernel=kernel)
+            with pytest.raises(ValueError):
+                ShotExecutor(QuantumCircuit(2), kernel=kernel)
 
     def test_stats_record_engine(self):
-        simulator = DDSimulator(kernel="vector")
+        simulator = DDSimulator()
         simulator.run(qft(4))
         assert simulator.stats.kernel == "vector"
         assert simulator.stats.kernel_levels > 0
         assert simulator.stats.kernel_fallbacks == 0
+        python = DDSimulator(kernel="python")
+        python.run(qft(4))
+        assert python.stats.kernel == "python"
+        assert python.stats.kernel_levels == 0
+
+
+class TestOneBuildLoop:
+    """Both engines run through DDSimulator's one loop."""
+
+    @pytest.mark.parametrize(
+        "circuit", [qft(8), random_circuit(6, 60, seed=91)], ids=["qft_8", "random"]
+    )
+    def test_compaction_keeps_strategy_counters(self, circuit):
+        # A tiny threshold compacts after almost every gate; the python
+        # engine used to restart its strategy counters there.
+        reference = DDSimulator(kernel="python", auto_compact_threshold=0)
+        expected = reference.run(circuit).probabilities()
+        for kernel in ("auto", "python"):
+            simulator = DDSimulator(kernel=kernel, auto_compact_threshold=20)
+            probabilities = simulator.run(circuit).probabilities()
+            assert np.array_equal(probabilities, expected)
+            assert simulator.stats.strategy_counts == reference.stats.strategy_counts
+            assert (
+                simulator.stats.diagonal_term_applications
+                == reference.stats.diagonal_term_applications
+            )
+
+    @staticmethod
+    def _traced_build(**settings) -> Telemetry:
+        session = Telemetry(probe_interval=1)
+        DDSimulator(telemetry=session, **settings).run(qft(5))
+        return session
+
+    def test_kernel_build_emits_its_span_and_counter(self):
+        session = self._traced_build()
+        spans = {span.name: span for span in session.tracer.spans}
+        kernel_span = spans["build.kernel"]
+        assert kernel_span.parent_id == spans["build"].span_id
+        assert kernel_span.attrs["engine"] == "vector"
+        assert kernel_span.attrs["fallbacks"] == 0
+        assert kernel_span.attrs["levels"] > 0
+        counters = session.registry.snapshot()["counters"]
+        assert counters["kernel.levels"] == kernel_span.attrs["levels"]
+        assert session.prober.records
+
+    def test_python_build_emits_no_kernel_span(self):
+        session = self._traced_build(kernel="python")
+        names = {span.name for span in session.tracer.spans}
+        assert "build" in names and "build.kernel" not in names
+        assert "kernel.levels" not in session.registry.snapshot()["counters"]
+        assert session.prober.records
 
 
 class TestExecutorFallbacks:
@@ -188,9 +270,7 @@ class TestExecutorFallbacks:
 
     def test_mid_circuit_counts_fallbacks_and_telemetry(self):
         session = Telemetry()
-        executor = ShotExecutor(
-            self._mid_circuit(), telemetry=session, kernel="vector"
-        )
+        executor = ShotExecutor(self._mid_circuit(), telemetry=session)
         executor.run(500, seed=3)
         assert executor.stats["kernel_segments"] > 0
         assert executor.stats["kernel_measurement_fallbacks"] > 0
@@ -202,14 +282,14 @@ class TestExecutorFallbacks:
 
     def test_mid_circuit_counts_bit_identical_to_python(self):
         circuit = self._mid_circuit()
-        vector = ShotExecutor(circuit, kernel="vector").run(4000, seed=21)
+        vector = ShotExecutor(circuit).run(4000, seed=21)
         python = ShotExecutor(circuit, kernel="python").run(4000, seed=21)
         assert vector.counts == python.counts
 
     def test_terminal_measurements_need_no_fallback(self):
         circuit = QuantumCircuit(3)
         circuit.h(0).cx(0, 1).cx(1, 2).measure_all()
-        executor = ShotExecutor(circuit, kernel="vector")
+        executor = ShotExecutor(circuit)
         executor.run(200, seed=5)
         assert executor.stats["kernel_segments"] > 0
         assert executor.stats["kernel_measurement_fallbacks"] == 0
@@ -265,16 +345,6 @@ measure q -> c;
 
 
 class TestServiceAndCLIKernel:
-    def test_sampling_request_rejects_unknown_kernel(self):
-        from repro.service.api import SamplingRequest, SamplingService
-
-        with SamplingService() as service:
-            response = service.sample(
-                SamplingRequest(qft(3), 10, seed=1, kernel="bogus")
-            )
-        assert response.status == "rejected"
-        assert "kernel" in response.error
-
     def test_artifact_meta_records_engine(self, tmp_path):
         from repro.service.api import SamplingRequest, SamplingService
 
@@ -286,29 +356,35 @@ class TestServiceAndCLIKernel:
         assert stored.meta["engine"] == "vector"
         assert stored.meta["kernel_fallbacks"] == 0
 
-    def test_kernel_not_part_of_cache_key(self, tmp_path):
-        # Engines are bit-identical, so artifacts are interchangeable:
-        # a vector-built artifact must serve a python-kernel request
-        # without triggering a second build.
+    def test_kernel_not_part_of_cache_key(self):
+        # The build picks its engine: a record's kernel field is ignored
+        # like any unknown field, so it keys and samples exactly like
+        # the same record without it (the values once refused included).
         from repro.service.api import SamplingRequest, SamplingService
 
-        vector = SamplingRequest(qft(4), 500, seed=4, kernel="vector")
-        python = SamplingRequest(qft(4), 500, seed=4, kernel="python")
-        with SamplingService(cache_dir=str(tmp_path)) as service:
-            first = service.sample(vector)
-            second = service.sample(python)
-        assert first.cache == "built"
-        assert second.cache == "memory"
-        assert first.key == second.key
-        assert first.result.counts == second.result.counts
+        for kernel, extra in [
+            ("python", {}),
+            ("vector", {}),
+            ("bogus", {}),
+            ("vector", {"approximation": 0.05}),
+        ]:
+            plain = {"circuit": "qft_4", "shots": 500, "seed": 4, **extra}
+            with SamplingService() as service:
+                without = service.sample(SamplingRequest.from_record(plain))
+            with SamplingService() as service:
+                tagged = service.sample(
+                    SamplingRequest.from_record({**plain, "kernel": kernel})
+                )
+            assert without.ok and tagged.ok, tagged.error
+            assert tagged.key == without.key
+            assert tagged.result.counts == without.result.counts
 
     def test_cli_kernel_flag(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "bell.qasm"
         path.write_text(BELL_QASM)
-        code = main(
-            [str(path), "--shots", "50", "--seed", "1", "--kernel", "python"]
-        )
-        assert code == 0
-        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main([str(path), "--shots", "50", "--seed", "1", "--kernel", "python"])
+        assert info.value.code == 2
+        assert "--kernel" in capsys.readouterr().err

@@ -307,10 +307,6 @@ class TestLayout:
 
 
 class TestSimulatorIntegration:
-    def test_vector_kernel_rejects_reordering(self):
-        with pytest.raises(ValueError, match="kernel='vector' is unsupported"):
-            DDSimulator(kernel="vector", reorder=ReorderConfig(enabled=True))
-
     def test_auto_kernel_coerces_to_python(self):
         simulator = DDSimulator(reorder=ReorderConfig(enabled=True))
         assert simulator.resolved_kernel() == "python"

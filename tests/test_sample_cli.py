@@ -80,6 +80,27 @@ def test_stats_output_stays_parseable(bell_file, capsys):
     float(pairs["matvec_hit_rate"])  # numeric
 
 
+@pytest.mark.parametrize(
+    "flags, engine",
+    [
+        ([], "engine=vector"),
+        (["--noise-strength", "0.01"], "engine=density"),
+        (["--method", "vector"], None),
+    ],
+)
+def test_stats_names_the_engine_that_ran(bell_file, capsys, flags, engine):
+    # A statevector build has no engine label; it used to read "python".
+    assert main([bell_file, "--shots", "100", "--stats", "--seed", "3", *flags]) == 0
+    build = next(
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("build:")
+    )
+    if engine is None:
+        assert "engine=" not in build
+    else:
+        assert engine in build
+
+
 def test_trace_flag_writes_valid_jsonl(bell_file, tmp_path, capsys):
     from repro.telemetry import read_trace
 

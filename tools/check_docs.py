@@ -24,11 +24,14 @@ dead end:
   ``python -m repro.telemetry.report`` …) must only use flags that the
   CLI's argument parser actually defines, so a doc cannot drift ahead
   of (or behind) the code it demonstrates,
-* **the combination rules** — the message column of the table under a
-  ``Combination rules`` heading must equal the messages of
+* **the combination rules** — the (name, message) pairs of the table
+  under a ``Combination rules`` heading must equal those of
   ``repro.simulators.build_spec.RULES``, row for row and in order, and
   ``docs/api.md`` must carry that table, so the docs cannot promise a
-  rejection the code does not make (or miss one it does).
+  rejection the code does not make (or miss one it does),
+* **rule citations** — prose cites a rule by its name; a "row N" or
+  "rows N…" citation goes stale whenever a row is added or removed, so
+  any is flagged.
 
 Intentionally dependency-free, like ``tools/check_docstrings.py``.
 
@@ -79,6 +82,7 @@ _PATHLIKE = re.compile(
 )
 _MODULE = re.compile(r"^repro(?:\.\w+)+$")
 _RUN_MODULE = re.compile(r"^python3? -m (repro(?:\.\w+)+)")
+_ROW_CITATION = re.compile(r"\b[Rr]ows?\s+\d+")
 
 #: The heading of the rule table, and the document that must carry it.
 RULE_TABLE_HEADING = "Combination rules"
@@ -158,12 +162,12 @@ def _runnable(dotted: str) -> bool:
     return path.with_suffix(".py").is_file() or (path / "__main__.py").is_file()
 
 
-def rule_table_rows(text: str) -> Optional[List[Tuple[int, str]]]:
-    """``(line, message)`` per rule-table row; ``None`` without the heading.
+def rule_table_rows(text: str) -> Optional[List[Tuple[int, str, str]]]:
+    """``(line, name, message)`` per rule-table row; ``None`` without the heading.
 
     Rows are the table lines under the ``Combination rules`` heading
-    whose first cell is a row number; the message is the third cell,
-    with its code-span backticks removed.
+    whose first cell is a code span, the rule's name; the message is
+    the third cell.  Code-span backticks are removed from both.
     """
     lines = text.splitlines()
     for index, line in enumerate(lines):
@@ -177,15 +181,15 @@ def rule_table_rows(text: str) -> Optional[List[Tuple[int, str]]]:
         if _HEADING.match(line):
             break
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if line.startswith("|") and len(cells) >= 3 and cells[0].isdigit():
-            rows.append((number, cells[2].strip("`")))
+        if line.startswith("|") and len(cells) >= 3 and cells[0].startswith("`"):
+            rows.append((number, cells[0].strip("`"), cells[2].strip("`")))
     return rows
 
 
-def _code_rule_messages() -> List[str]:
+def _code_rules() -> List[Tuple[str, str]]:
     from repro.simulators.build_spec import RULES
 
-    return [rule.message for rule in RULES]
+    return [(rule.name, rule.message) for rule in RULES]
 
 
 def _load_parser(spec: str) -> argparse.ArgumentParser:
@@ -325,15 +329,15 @@ class DocsChecker:
                     doc, 1, f"missing the '{RULE_TABLE_HEADING}' rule table"
                 )
             return
-        expected = _code_rule_messages()
-        for row, ((line, have), want) in enumerate(
+        expected = _code_rules()
+        for row, ((line, *have), want) in enumerate(
             zip(documented, expected), start=1
         ):
-            if have != want:
+            if tuple(have) != want:
                 self._problem(
                     doc,
                     line,
-                    f"rule table row {row} says {have!r}; "
+                    f"rule table row {row} says {tuple(have)!r}; "
                     f"repro.simulators.build_spec.RULES has {want!r}",
                 )
                 return
@@ -345,12 +349,26 @@ class DocsChecker:
                 f"repro.simulators.build_spec.RULES has {len(expected)}",
             )
 
+    def _check_row_citations(self, doc: Path, text: str) -> None:
+        """Flag prose citing rule rows by number (a citation may wrap)."""
+        prose = "\n".join(
+            "" if in_fence else line for _number, line, in_fence in _iter_lines(text)
+        )
+        for match in _ROW_CITATION.finditer(prose):
+            self._problem(
+                doc,
+                prose.count("\n", 0, match.start()) + 1,
+                f"{' '.join(match.group(0).split())!r} cites a rule row by "
+                "number; cite it by its RULES name",
+            )
+
     # -- driver --------------------------------------------------------
 
     def check_file(self, doc: Path) -> None:
         """Run every check against one markdown document."""
         text = doc.read_text(encoding="utf-8")
         self._check_rule_table(doc, text)
+        self._check_row_citations(doc, text)
         buffer = ""  # joins backslash-continued shell lines
         buffer_line = 0
         for number, line, in_fence in _iter_lines(text):
