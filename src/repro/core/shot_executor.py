@@ -236,21 +236,17 @@ class ShotExecutor:
         self,
         shots: int,
         seed: Union[int, np.random.Generator, None] = None,
-        strategy: str = "branching",
     ) -> SampleResult:
         """Execute ``shots`` runs; returns accumulated measured bits.
 
+        Shots split binomially at each measurement (outcome branching);
+        :meth:`run_per_shot` is the literal one-shot-at-a-time reference.
         Each shot's record is the OR of all measurement outcomes at their
         register positions (re-measured qubits keep the latest value, as
         on hardware with a single classical bit per qubit).
-
-        ``strategy`` selects ``"branching"`` (outcome-prefix batching,
-        the default) or ``"per-shot"`` (the literal reference loop).
         """
         if shots < 0:
             raise SimulationError("shots must be non-negative")
-        if strategy not in ("branching", "per-shot"):
-            raise SimulationError(f"unknown execution strategy {strategy!r}")
         rng = _as_rng(seed)
         with _telemetry.activate(self.telemetry):
             self.stats = self._fresh_stats()
@@ -258,9 +254,7 @@ class ShotExecutor:
                 return self._empty_result()
             if not self.has_mid_circuit_measurement:
                 return self._run_terminal_only(shots, rng)
-            if strategy == "per-shot":
-                return self._run_per_shot_counted(shots, rng)
-            with _telemetry.span("shots.run", strategy=strategy, shots=shots):
+            with _telemetry.span("shots.run", strategy="branching", shots=shots):
                 result = self._run_branching(shots, rng)
             self._record_shot_stats()
             return result
@@ -359,30 +353,24 @@ class ShotExecutor:
                 return self._empty_result()
             if not self.has_mid_circuit_measurement:
                 return self._run_terminal_only(shots, rng)
-            return self._run_per_shot_counted(shots, rng)
-
-    def _run_per_shot_counted(
-        self, shots: int, rng: np.random.Generator
-    ) -> SampleResult:
-        """The per-shot loop body (stats already reset by the caller)."""
-        counts: Dict[int, int] = {}
-        prefix = self._prefix()
-        for _ in range(shots):
-            state = prefix
-            record = 0
-            for index, segment in enumerate(self._segments):
-                if index > 0:
-                    state = self._run_segment(state, segment)
-                if segment.measurement is None:
-                    continue
-                qubits = self._measured_qubits(segment)
-                mask = 0
-                for qubit in qubits:
-                    mask |= 1 << qubit
-                state, bits = self._measure_qubits(state, qubits, rng)
-                record = (record & ~mask) | bits
-            counts[record] = counts.get(record, 0) + 1
-        self._record_shot_stats()
+            counts: Dict[int, int] = {}
+            prefix = self._prefix()
+            for _ in range(shots):
+                state = prefix
+                record = 0
+                for index, segment in enumerate(self._segments):
+                    if index > 0:
+                        state = self._run_segment(state, segment)
+                    if segment.measurement is None:
+                        continue
+                    qubits = self._measured_qubits(segment)
+                    mask = 0
+                    for qubit in qubits:
+                        mask |= 1 << qubit
+                    state, bits = self._measure_qubits(state, qubits, rng)
+                    record = (record & ~mask) | bits
+                counts[record] = counts.get(record, 0) + 1
+            self._record_shot_stats()
         return SampleResult(
             num_qubits=self.num_qubits, counts=counts, method="shot-executor"
         )

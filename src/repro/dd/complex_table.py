@@ -43,10 +43,11 @@ class ComplexTable:
         self.misses = 0
         #: Monotonic insert counter.  Canonical entries are never removed
         #: and are pairwise further than ``tolerance`` apart, so a lookup
-        #: result can only change when a *new* entry is inserted; caches
-        #: layered over this table (the SoA kernel's intern front-cache)
-        #: stay valid exactly as long as ``version`` is unchanged.  The
-        #: counter survives :meth:`clear` so stale caches never revalidate.
+        #: result can only change when a *new* entry is inserted.  Its one
+        #: reader, the SoA kernel's row re-normalisation memo
+        #: (``KernelEngine._rebuild_row``), stays valid exactly as long as
+        #: ``version`` is unchanged.  The counter survives :meth:`clear`
+        #: so a stale memo never revalidates.
         self.version = getattr(self, "version", 0)
         # Seed the exact constants that appear in virtually every circuit,
         # so they are always the canonical representatives.
@@ -124,36 +125,6 @@ class ComplexTable:
         self.misses += 1
         self.version += 1
         return value
-
-    def probe(self, value: complex) -> "complex | None":
-        """Like :meth:`lookup` but read-only: ``None`` when no entry is
-        within tolerance (the value would become a new canonical entry).
-
-        Used by the SoA kernel's batched sweeps to defer inserts until a
-        whole gate application is known to be insert-order independent.
-        The scan mirrors :meth:`lookup` (kept separate so the reference
-        engine's hot path stays a single call).
-        """
-        value = complex(
-            value.real if value.real != 0.0 else 0.0,
-            value.imag if value.imag != 0.0 else 0.0,
-        )
-        key = self._key(value)
-        best: complex | None = None
-        best_rank: Tuple[float, float, float] | None = None
-        for dr in (0, -1, 1):
-            for di in (0, -1, 1):
-                candidate = self._buckets.get((key[0] + dr, key[1] + di))
-                if candidate is None or not self._close(candidate, value):
-                    continue
-                rank = (
-                    abs(candidate - value),
-                    candidate.real,
-                    candidate.imag,
-                )
-                if best_rank is None or rank < best_rank:
-                    best, best_rank = candidate, rank
-        return best
 
     def _close(self, a: complex, b: complex) -> bool:
         if (

@@ -336,10 +336,10 @@ def _check_branching_vs_per_shot(
 ) -> Optional[str]:
     """Outcome-branching and per-shot execution must match statistically."""
     branching = ShotExecutor(circuit).run(
-        PER_SHOT_SAMPLE_SHOTS, seed=int(rng.integers(2**63)), strategy="branching"
+        PER_SHOT_SAMPLE_SHOTS, seed=int(rng.integers(2**63))
     )
-    per_shot = ShotExecutor(circuit).run(
-        PER_SHOT_SAMPLE_SHOTS, seed=int(rng.integers(2**63)), strategy="per-shot"
+    per_shot = ShotExecutor(circuit).run_per_shot(
+        PER_SHOT_SAMPLE_SHOTS, seed=int(rng.integers(2**63))
     )
     outcome = two_sample_chi_square(branching, per_shot)
     if outcome.p_value >= P_VALUE_FLOOR:

@@ -23,17 +23,15 @@ structure-of-arrays working state:
   operation sequence, so both engines produce **bit-identical** states
   (and therefore bit-identical :class:`~repro.perf.compiled_dd.CompiledDD`
   arrays and samples at equal seed).
+* Each strategy (diagonal, descent, decompose) is one scalar replay on
+  those arrays: a memoised walk that visits the nodes the python
+  applier visits, in the same order.
 * Interning goes through a front cache over the package's
   :class:`~repro.dd.complex_table.ComplexTable`: canonical entries are
   permanent lookup fixed points (they stay pairwise further than the
-  tolerance apart), so exact hits are cached forever; near-miss results
-  are cached only until the table's ``version`` counter moves.
-* Levels whose working width reaches ``batch_min_width`` are processed
-  with NumPy level sweeps — vectorised child gather, weight multiply,
-  L2 normalisation, and hash-based uniquing via ``np.unique`` on the
-  ``(child, weight)`` row keys — one NumPy call chain per DD level
-  instead of one Python frame per node.  Narrow levels (the common case
-  for the benchmark families) use a scalar replay on the same arrays.
+  tolerance apart), so exact hits are cached forever; a value that snaps
+  to a different entry is never cached and is resolved against the live
+  table on every occurrence.
 
 Anything the kernel does not cover — generic matrix-vector products,
 matrix-matrix composition, mid-circuit measurement — falls back to the
@@ -51,7 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -62,7 +60,6 @@ from ..dd.normalization import NormalizationScheme, normalize_weights
 from ..exceptions import DDError, SimulationError
 
 __all__ = [
-    "DEFAULT_BATCH_MIN_WIDTH",
     "EngineError",
     "KernelEngine",
     "KernelStats",
@@ -70,12 +67,6 @@ __all__ = [
     "SoAState",
     "select_engine",
 ]
-
-#: Level width at which gate application switches from the scalar replay
-#: to the NumPy batched sweep.  Below this, per-call NumPy overhead
-#: exceeds the scalar cost (bench-family DD levels are a handful of
-#: nodes wide); above it the vectorised path wins.
-DEFAULT_BATCH_MIN_WIDTH = 64
 
 _ZERO = (-1, 0j)
 
@@ -89,157 +80,6 @@ def _same_edge(tc: int, tw: complex, c: int, w: complex) -> bool:
     if tw.imag == 0.0 and math.copysign(1.0, tw.imag) != math.copysign(1.0, w.imag):
         return False
     return True
-
-
-def _phase_select(var: int, ones: set, zeros_set: set) -> Tuple[bool, bool]:
-    """Which child branches a subspace-phase traversal follows at ``var``."""
-    if var in ones:
-        return (False, True)
-    if var in zeros_set:
-        return (True, False)
-    return (True, True)
-
-
-# ---------------------------------------------------------------------------
-# Bit-exact vector complex arithmetic
-# ---------------------------------------------------------------------------
-#
-# NumPy's complex128 multiply/divide/abs loops may use SIMD kernels with
-# FMA contraction, rounding differently from the interpreter's scalar
-# formulas in the last ulp.  The helpers below replay CPython's
-# ``_Py_c_prod`` / ``_Py_c_quot`` (Smith's algorithm) / ``hypot`` step by
-# step with separate float64 ufunc calls — each a single correctly
-# rounded IEEE operation — so batched results match the scalar replay
-# bit for bit.
-
-
-def _to_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def _cmul_parts(ar, ai, br, bi) -> np.ndarray:
-    """``(ar + ai*i) * (br + bi*i)`` via CPython's product formula."""
-    return _to_complex(ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _cdiv_parts(ar, ai, br, bi) -> np.ndarray:
-    """``(ar + ai*i) / (br + bi*i)`` via CPython's Smith algorithm.
-
-    Both branches are evaluated and ``where``-selected; the guarded
-    divisors keep the dead branch finite (its values are discarded).
-    """
-    abs_br = np.abs(br)
-    abs_bi = np.abs(bi)
-    first = abs_br >= abs_bi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio1 = bi / np.where(first, br, 1.0)
-        denom1 = br + bi * ratio1
-        re1 = (ar + ai * ratio1) / denom1
-        im1 = (ai - ar * ratio1) / denom1
-        ratio2 = br / np.where(first, 1.0, bi)
-        denom2 = br * ratio2 + bi
-        re2 = (ar * ratio2 + ai) / denom2
-        im2 = (ai * ratio2 - ar) / denom2
-    return _to_complex(
-        np.where(first, re1, re2), np.where(first, im1, im2)
-    )
-
-
-class _UnsafeBatch(Exception):
-    """A batched sweep could not prove insert-order independence."""
-
-
-class _GateIntern:
-    """Probe-only complex interning for one batched gate application.
-
-    The python engine interns values in DFS order; a NumPy level sweep
-    visits the same value multiset in a different order.  Order can only
-    influence canonicalisation when some value of the gate lands within
-    tolerance of a value that is *new* this gate (the earlier of the two
-    would have become the canonical entry and captured the other).  This
-    helper therefore
-
-    * resolves values against the existing table **without inserting**
-      (:meth:`ComplexTable.probe`), treating unmatched values as their
-      own canonical form,
-    * tracks every distinct value of the gate on a tolerance grid and
-      raises :class:`_UnsafeBatch` the moment any value falls within
-      tolerance of a new one — the sweep is then abandoned (no table
-      mutation has happened) and the gate re-runs on the scalar path,
-      which replays the reference order exactly, and
-    * on success :meth:`commit`\\ s the new values into the table — they
-      are pairwise further than the tolerance apart from everything else
-      in the gate, so the insert order is provably irrelevant.
-    """
-
-    __slots__ = ("cache", "table", "tolerance", "results", "pending", "grid")
-
-    def __init__(self, cache: _InternCache):
-        self.cache = cache
-        self.table = cache.table
-        self.tolerance = cache.table.tolerance
-        #: value -> canonical result, memoised per gate.
-        self.results: Dict[complex, complex] = {}
-        #: Values with no existing canonical entry, pending insert.
-        self.pending: List[complex] = []
-        #: tolerance-grid key -> [(value, is_new)] for the safety check.
-        self.grid: Dict[Tuple[int, int], List[Tuple[complex, bool]]] = {}
-
-    def intern(self, value: complex) -> complex:
-        value = complex(
-            value.real if value.real != 0.0 else 0.0,
-            value.imag if value.imag != 0.0 else 0.0,
-        )
-        hit = self.results.get(value)
-        if hit is not None:
-            return hit
-        canonical = self.cache.fixed.get(value)
-        if canonical is None:
-            canonical = self.table.probe(value)
-        if canonical is None:
-            canonical = value
-            self._check(value, True)
-            self.pending.append(value)
-        elif canonical != value:
-            # Nearest-entry snap: a later new value within tolerance of
-            # ``value`` could steal it, so it joins the safety grid.  An
-            # exact canonical hit cannot pair with any new value (the new
-            # value would not have been new) and skips the grid.
-            self._check(value, False)
-        self.results[value] = canonical
-        return canonical
-
-    def _check(self, value: complex, is_new: bool) -> None:
-        tolerance = self.tolerance
-        kr = int(math.floor(value.real / tolerance + 0.5))
-        ki = int(math.floor(value.imag / tolerance + 0.5))
-        for dr in (0, -1, 1):
-            for di in (0, -1, 1):
-                for other, other_new in self.grid.get((kr + dr, ki + di), ()):
-                    if (
-                        (is_new or other_new)
-                        and other != value
-                        and abs(other.real - value.real) <= tolerance
-                        and abs(other.imag - value.imag) <= tolerance
-                    ):
-                        raise _UnsafeBatch
-        self.grid.setdefault((kr, ki), []).append((value, is_new))
-
-    def commit(self) -> None:
-        """Insert the gate's new values (order provably irrelevant).
-
-        Each becomes a canonical entry — a permanent lookup fixed point —
-        so it also feeds the front cache, which purges any nearest-entry
-        snaps the insert may have invalidated.
-        """
-        table = self.table
-        cache = self.cache
-        for value in self.pending:
-            table.lookup(value)
-            cache.note_insert(value)
 
 
 class _InternCache:
@@ -316,14 +156,6 @@ class _InternCache:
         table.version += 1
         self.fixed[value] = norm
         return norm
-
-    def note_insert(self, value: complex) -> None:
-        """Record a canonical insert performed through the table directly.
-
-        ``value`` must be the (normalised) entry just inserted: it is a
-        permanent lookup fixed point from now on.
-        """
-        self.fixed[value] = value
 
 
 class _Level:
@@ -417,14 +249,12 @@ class SoAState:
 class KernelStats:
     """Counters for one engine instance (telemetry + stats parity)."""
 
-    __slots__ = ("gates", "levels_processed", "batched_levels", "fallbacks")
+    __slots__ = ("gates", "levels_processed", "fallbacks")
 
     def __init__(self) -> None:
         self.gates = 0
-        #: DD levels rebuilt by SoA gate application (scalar or batched).
+        #: SoA rows rebuilt by gate application.
         self.levels_processed = 0
-        #: Subset of ``levels_processed`` handled by the NumPy sweep.
-        self.batched_levels = 0
         #: Edge⇄SoA round trips through the python engine.
         self.fallbacks = 0
 
@@ -448,9 +278,6 @@ class KernelEngine:
         self.applier = applier
         self.tolerance = package.tolerance
         self.scheme = package.scheme
-        # Read at construction, not import, so tests can force the
-        # batched (or scalar) sweep by patching the module constant.
-        self.batch_min_width = DEFAULT_BATCH_MIN_WIDTH
         self.stats = KernelStats()
         self._intern = _InternCache(package.complex_table)
         self._add_cache: Dict[tuple, Tuple[int, complex]] = {}
@@ -509,8 +336,12 @@ class KernelEngine:
         return self.state.node_count()
 
     def table_size(self) -> int:
-        """Stored SoA rows, the size that triggers :meth:`compact`."""
-        return self.state.total_rows()
+        """Stored rows plus unique-table entries: what :meth:`compact` bounds.
+
+        Every fallback's edge round trip leaves nodes in the package's
+        unique table, so they count too.
+        """
+        return self.state.total_rows() + len(self.package.unique_table)
 
     def to_edge(self) -> Edge:
         """Convert the working state back to a canonical :class:`Edge` DD.
@@ -805,25 +636,7 @@ class KernelEngine:
                 state.root, state.root_weight, phase
             )
             return
-        lowest = min(ones) if not zeros_set else (
-            min(zeros_set) if not ones else min(min(ones), min(zeros_set))
-        )
-        top = state.num_qubits - 1
-        if (
-            self.scheme is NormalizationScheme.L2
-            # Stored width is a cheap upper bound on active width: only
-            # when it clears the threshold is the frontier worth walking.
-            and self._max_width(lowest, top) >= self.batch_min_width
-        ):
-            active = self._frontier(
-                lowest, lambda var: _phase_select(var, ones, zeros_set)
-            )
-            if max(
-                len(active[v]) for v in range(lowest, top + 1)
-            ) >= self.batch_min_width and self._subspace_phase_batched(
-                ones, zeros_set, lowest, phase, active
-            ):
-                return
+        lowest = min(ones | zeros_set)
         levels = state.levels
         memo: List[Dict[int, Tuple[int, complex]]] = [
             {} for _ in range(state.num_qubits)
@@ -892,7 +705,9 @@ class KernelEngine:
                 product = intern(raw)
             return (result[0], raw) if product == 0 else (result[0], product)
 
-        state.root, state.root_weight = walk(state.root, state.root_weight, top)
+        state.root, state.root_weight = walk(
+            state.root, state.root_weight, state.num_qubits - 1
+        )
         self.stats.levels_processed += processed
 
     # ------------------------------------------------------------------
@@ -986,319 +801,26 @@ class KernelEngine:
         self.stats.levels_processed += processed
 
     # ------------------------------------------------------------------
-    # NumPy batched level sweep
-    # ------------------------------------------------------------------
-
-    def _max_width(self, base_var: int, top_var: int) -> int:
-        """Widest stored level in the traversal range (cheap upper bound)."""
-        levels = self.state.levels
-        width = 0
-        for var in range(base_var, top_var + 1):
-            stored = len(levels[var].c0)
-            if stored > width:
-                width = stored
-        return width
-
-    def _frontier(
-        self,
-        base_var: int,
-        select: Callable[[int], Tuple[bool, bool]],
-    ) -> List[List[int]]:
-        """Active rows per level from the root down to ``base_var``.
-
-        ``select(var)`` returns which branches the traversal follows at
-        ``var`` (walk0, walk1); rows are recorded in first-visit order,
-        matching the python engine's memoisation granularity.
-        """
-        state = self.state
-        levels = state.levels
-        active: List[List[int]] = [[] for _ in range(state.num_qubits)]
-        frontier = [state.root]
-        for var in range(state.num_qubits - 1, base_var - 1, -1):
-            active[var] = frontier
-            if var == base_var:
-                break
-            level = levels[var]
-            walk0, walk1 = select(var)
-            seen = set()
-            next_frontier: List[int] = []
-            for row in frontier:
-                if walk0:
-                    child, weight = level.c0[row], level.w0[row]
-                    if weight != 0 and child not in seen:
-                        seen.add(child)
-                        next_frontier.append(child)
-                if walk1:
-                    child, weight = level.c1[row], level.w1[row]
-                    if weight != 0 and child not in seen:
-                        seen.add(child)
-                        next_frontier.append(child)
-            frontier = next_frontier
-        return active
-
-    def _intern_array(self, raw: np.ndarray, intern) -> np.ndarray:
-        """Intern every element of a complex array (snap-to-zero keeps raw).
-
-        Replays ``DDPackage.scale``'s weight handling: a zero product is
-        zero, a nonzero product that interns to zero keeps its raw value.
-        Unique values are interned once each; ``intern`` is the gate's
-        :class:`_GateIntern` resolver.
-        """
-        out = raw.copy()
-        nonzero = raw != 0
-        values = raw[nonzero]
-        if values.size:
-            unique, inverse = np.unique(values, return_inverse=True)
-            interned = np.empty(unique.shape, dtype=np.complex128)
-            for position, value in enumerate(unique):
-                value = complex(value)
-                canonical = intern(value)
-                interned[position] = value if canonical == 0 else canonical
-            out[nonzero] = interned[inverse]
-        return out
-
-    def _batched_rebuild(
-        self,
-        var: int,
-        rows: List[int],
-        t0c: np.ndarray,
-        t0w: np.ndarray,
-        t1c: np.ndarray,
-        t1w: np.ndarray,
-        intern,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised ``make_vector_node`` over one level's active rows.
-
-        Returns per-active-row result rows and factors (row ``-1`` +
-        factor ``0`` for all-zero results).  L2 only — the batched path
-        is gated on the L2 scheme by :meth:`apply` routing (`classify`)
-        plus the engine selection in the simulator.
-        """
-        tolerance = self.tolerance
-        count = len(rows)
-        t0r, t0i = t0w.real, t0w.imag
-        t1r, t1i = t1w.real, t1w.imag
-        # abs(complex) is hypot in the interpreter; np.abs on complex128
-        # may take a SIMD sqrt path, so call hypot explicitly.
-        a0 = np.hypot(t0r, t0i)
-        a1 = np.hypot(t1r, t1i)
-        live0 = a0 > tolerance
-        live1 = a1 > tolerance
-        pivot0 = live0
-        pivot1 = (~live0) & live1
-        dead = ~(live0 | live1)
-        out_rows = np.full(count, -1, dtype=np.int64)
-        out_factors = np.zeros(count, dtype=np.complex128)
-        if dead.all():
-            return out_rows, out_factors
-        # Vectorised replay of normalize_weights(..., L2).  Dead rows are
-        # guarded against zero division; their values are discarded.
-        magnitude = np.sqrt(a0 * a0 + a1 * a1)
-        safe_mag = np.where(dead, 1.0, magnitude)
-        pivot_r = np.where(pivot0, t0r, t1r)
-        pivot_i = np.where(pivot0, t0i, t1i)
-        pivot_a = np.where(pivot0, a0, np.where(pivot1, a1, 1.0))
-        pivot_phase = _cdiv_parts(pivot_r, pivot_i, pivot_a, 0.0)
-        factor = _cmul_parts(safe_mag, 0.0, pivot_phase.real, pivot_phase.imag)
-        safe_factor = np.where(dead, 1.0, factor)
-        sfr, sfi = safe_factor.real, safe_factor.imag
-        n0 = np.where(live0, _cdiv_parts(t0r, t0i, sfr, sfi), 0j)
-        n1 = np.where(live1, _cdiv_parts(t1r, t1i, sfr, sfi), 0j)
-        pivot_value = (pivot_a / safe_mag).astype(np.complex128)
-        n0 = np.where(pivot0, pivot_value, n0)
-        n1 = np.where(pivot1, pivot_value, n1)
-        # Intern factors first (the reference engine's order); a factor
-        # that interns to zero collapses the row to the zero edge and its
-        # children are never interned.
-        live_index = np.nonzero(~dead)[0]
-        unique, inverse = np.unique(factor[live_index], return_inverse=True)
-        interned_factors = np.empty(unique.shape, dtype=np.complex128)
-        for position, value in enumerate(unique):
-            interned_factors[position] = intern(complex(value))
-        live_factor_values = interned_factors[inverse]
-        alive = live_index[live_factor_values != 0]
-        if alive.size == 0:
-            return out_rows, out_factors
-        out_factors[live_index] = live_factor_values
-        # Intern normalised child weights over surviving rows (zeros stay
-        # zero; a nonzero weight that interns to zero detaches the child).
-        n0a = self._intern_weights(n0[alive], intern)
-        n1a = self._intern_weights(n1[alive], intern)
-        c0a = np.where(n0a == 0, -1, t0c[alive])
-        c1a = np.where(n1a == 0, -1, t1c[alive])
-        # Hash-based uniquing: np.unique over the flattened row keys,
-        # then one dict probe per *unique* row against the level store.
-        keys = np.empty((alive.size, 6), dtype=np.float64)
-        keys[:, 0] = c0a
-        keys[:, 1] = c1a
-        keys[:, 2] = n0a.real
-        keys[:, 3] = n0a.imag
-        keys[:, 4] = n1a.real
-        keys[:, 5] = n1a.imag
-        level = self.state.levels[var]
-        unique_keys, first, inverse_rows = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
-        assigned = np.empty(unique_keys.shape[0], dtype=np.int64)
-        for position in range(unique_keys.shape[0]):
-            source = int(first[position])
-            assigned[position] = level.intern_row(
-                int(c0a[source]),
-                complex(n0a[source]),
-                int(c1a[source]),
-                complex(n1a[source]),
-            )
-        out_rows[alive] = assigned[inverse_rows]
-        zero_factor = out_rows == -1
-        out_factors[zero_factor] = 0j
-        return out_rows, out_factors
-
-    def _intern_weights(self, weights: np.ndarray, intern) -> np.ndarray:
-        """Intern normalised weights (zero stays zero, snaps become zero)."""
-        out = weights.copy()
-        nonzero = weights != 0
-        values = weights[nonzero]
-        if values.size:
-            unique, inverse = np.unique(values, return_inverse=True)
-            interned = np.empty(unique.shape, dtype=np.complex128)
-            for position, value in enumerate(unique):
-                interned[position] = intern(complex(value))
-            out[nonzero] = interned[inverse]
-        return out
-
-    def _scale_array(
-        self, c: np.ndarray, w: np.ndarray, factor: complex, intern
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`_scale_pair` (zero keeps zero, snaps keep raw)."""
-        raw = _cmul_parts(w.real, w.imag, factor.real, factor.imag)
-        out_c = np.where(raw == 0, -1, c)
-        out_w = self._intern_array(raw, intern)
-        return out_c, out_w
-
-    def _subspace_phase_batched(
-        self,
-        ones: set,
-        zeros_set: set,
-        lowest: int,
-        phase: complex,
-        active: List[List[int]],
-    ) -> bool:
-        """Level-sweep implementation of the subspace phase.
-
-        ``active`` is the precomputed frontier (the dispatcher walks it
-        to measure the live width before committing to the sweep).
-        Returns ``False`` — with the state untouched and nothing inserted
-        into the complex table — when the sweep cannot prove it is
-        independent of the reference engine's intern order; the caller
-        then re-runs the gate on the scalar path.
-        """
-        state = self.state
-        levels = state.levels
-        gate_intern = _GateIntern(self._intern)
-        intern = gate_intern.intern
-        saved_levels = self.stats.levels_processed
-        saved_batched = self.stats.batched_levels
-        try:
-            result = self._sweep(
-                ones, zeros_set, lowest, phase, active, intern
-            )
-        except _UnsafeBatch:
-            self.stats.levels_processed = saved_levels
-            self.stats.batched_levels = saved_batched
-            return False
-        gate_intern.commit()
-        state.root, state.root_weight = result
-        return True
-
-    def _sweep(
-        self,
-        ones: set,
-        zeros_set: set,
-        lowest: int,
-        phase: complex,
-        active: List[List[int]],
-        intern,
-    ) -> Tuple[int, complex]:
-        """The level loop of :meth:`_subspace_phase_batched` (may raise)."""
-        state = self.state
-        levels = state.levels
-        prev_rows: Optional[np.ndarray] = None
-        prev_factors: Optional[np.ndarray] = None
-        for var in range(lowest, state.num_qubits):
-            rows = active[var]
-            if not rows:
-                prev_rows = prev_factors = None
-                continue
-            self.stats.levels_processed += len(rows)
-            self.stats.batched_levels += 1
-            level = levels[var]
-            count = len(rows)
-            index = np.asarray(rows, dtype=np.int64)
-            # Gather only the active rows — the stored lists also hold
-            # garbage rows from earlier gates, and converting them whole
-            # would make each sweep O(stored) instead of O(live).
-            lc0, lc1, lw0, lw1 = level.c0, level.c1, level.w0, level.w1
-            c0 = np.fromiter((lc0[r] for r in rows), np.int64, count)
-            c1 = np.fromiter((lc1[r] for r in rows), np.int64, count)
-            w0 = np.fromiter((lw0[r] for r in rows), np.complex128, count)
-            w1 = np.fromiter((lw1[r] for r in rows), np.complex128, count)
-            walk0, walk1 = _phase_select(var, ones, zeros_set)
-
-            def transform(
-                c: np.ndarray, w: np.ndarray
-            ) -> Tuple[np.ndarray, np.ndarray]:
-                # Zero edges are returned verbatim, matching the walk.
-                nonzero = w != 0
-                if not nonzero.any() or (var > lowest and prev_rows is None):
-                    return c, w
-                if var == lowest:
-                    # Below the lowest relevant qubit the python engine
-                    # scales the child edge by the phase.
-                    tc, tw = self._scale_array(c, w, phase, intern)
-                else:
-                    # Children map to their transformed result row, and
-                    # replay scale(result, w): raw = result_factor * w.
-                    safe = np.where(nonzero, c, 0)
-                    mapped = prev_rows[safe]
-                    pf = prev_factors[safe]
-                    raw = _cmul_parts(pf.real, pf.imag, w.real, w.imag)
-                    tc = np.where(raw == 0, -1, mapped)
-                    tw = self._intern_array(raw, intern)
-                return np.where(nonzero, tc, c), np.where(nonzero, tw, 0j)
-
-            t0c, t0w = transform(c0, w0) if walk0 else (c0, w0)
-            t1c, t1w = transform(c1, w1) if walk1 else (c1, w1)
-            result_rows, result_factors = self._batched_rebuild(
-                var, rows, t0c, t0w, t1c, t1w, intern
-            )
-            size = len(level)
-            scatter_rows = np.full(size, -1, dtype=np.int64)
-            scatter_factors = np.zeros(size, dtype=np.complex128)
-            scatter_rows[index] = result_rows
-            scatter_factors[index] = result_factors
-            prev_rows, prev_factors = scatter_rows, scatter_factors
-        root_factor = complex(prev_factors[state.root])
-        root_row = int(prev_rows[state.root])
-        raw = root_factor * state.root_weight
-        if raw == 0:
-            return _ZERO
-        product = intern(raw)
-        return (root_row, raw if product == 0 else product)
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
 
     def compact(self) -> None:
-        """Drop unreachable rows, rebuilding levels from the live set."""
+        """Drop unreachable rows, rebuilding levels from the live set.
+
+        The SoA state holds no package node, so the package's unique
+        table (filled by fallbacks) is collected to empty, and the
+        applier's operator DDs go with it, as in
+        :meth:`PythonEngine.compact`; its strategy counters stay.
+        """
+        self.package.compact([])
+        self.applier.clear_operator_cache()
+        self._add_cache.clear()
         state = self.state
+        fresh = SoAState(self.num_qubits)
+        self.state = fresh
         if state.is_zero:
-            fresh = SoAState(self.num_qubits)
-            self.state = fresh
-            self._add_cache.clear()
             return
         reachable = state.reachable_rows()
-        fresh = SoAState(self.num_qubits)
         remap: List[Dict[int, int]] = [{} for _ in state.levels]
         for var in range(state.num_qubits):
             level = state.levels[var]
@@ -1312,8 +834,6 @@ class KernelEngine:
                 remap[var][row] = target_level.intern_row(nc0, w0, nc1, w1)
         fresh.root = remap[state.num_qubits - 1][state.root]
         fresh.root_weight = state.root_weight
-        self.state = fresh
-        self._add_cache.clear()
 
 
 class PythonEngine:
@@ -1372,7 +892,7 @@ def select_engine(scheme, kernel: str = "auto", approximation=None, reorder=None
     """The engine class a build runs on: the one engine choice.
 
     ``kernel="auto"`` picks :class:`KernelEngine` under the L2 scheme
-    (its sweeps replay L2 normalisation) when the build neither prunes
+    (its replay inlines L2 normalisation) when the build neither prunes
     nor sifts (both rewrite the edge DD between gates), and
     :class:`PythonEngine` otherwise; ``kernel="python"`` always picks
     the reference.  Both are bit-identical, so the choice changes speed,

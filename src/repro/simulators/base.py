@@ -42,8 +42,6 @@ class SimulationStats:
     kernel_fallbacks: int = 0
     #: SoA rows rebuilt by kernel gate application (zero on python runs).
     kernel_levels: int = 0
-    #: NumPy level sweeps among those rebuilds (wide levels only).
-    kernel_batched_levels: int = 0
     #: Approximation accounting (all zero / ``None`` on exact runs); see
     #: :mod:`repro.dd.approximation`.  ``fidelity_bound`` is the rigorous
     #: lower bound on the fidelity of the final approximated state.

@@ -288,7 +288,6 @@ class DDSimulator(StrongSimulator):
         stats.diagonal_term_applications = applier.diagonal_term_applications
         stats.kernel_fallbacks = engine.stats.fallbacks
         stats.kernel_levels = engine.stats.levels_processed
-        stats.kernel_batched_levels = engine.stats.batched_levels
         stats.final_dd_nodes = package.node_count(state)
         stats.peak_dd_nodes = max(peak, stats.final_dd_nodes)
         if approximator is not None:

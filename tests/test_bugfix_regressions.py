@@ -146,8 +146,9 @@ def test_shot_executor_zero_shots_both_strategies():
     circuit = QuantumCircuit(2)
     circuit.h(0)
     circuit.measure_all()
-    for strategy in ("branching", "per-shot"):
-        result = ShotExecutor(circuit).run(0, seed=1, strategy=strategy)
+    executor = ShotExecutor(circuit)
+    for run in (executor.run, executor.run_per_shot):
+        result = run(0, seed=1)
         assert result.counts == {}
         assert result.shots == 0
         assert result.num_qubits == 2

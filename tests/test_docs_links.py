@@ -90,6 +90,11 @@ def test_checker_accepts_attribute_on_real_module(tmp_path):
     assert _problems_for(tmp_path, "`repro.service.api.SamplingService`\n") == []
 
 
+def test_checker_flags_missing_attribute_on_real_module(tmp_path):
+    messages = _problems_for(tmp_path, "`repro.service.api.GhostService`\n")
+    assert any("GhostService" in m for m in messages)
+
+
 def test_checker_flags_unknown_cli_flag(tmp_path):
     messages = _problems_for(
         tmp_path, "```bash\npython -m repro.service --warp-speed\n```\n"

@@ -53,8 +53,8 @@ def test_checkers_agree_on_inequivalent_pair():
 def test_midmeasure_cross_backend_chi_square(seed):
     """Branching and per-shot execution agree on measure-and-continue."""
     circuit = generate("midmeasure", (47, seed))
-    branching = ShotExecutor(circuit).run(400, seed=seed, strategy="branching")
-    per_shot = ShotExecutor(circuit).run(400, seed=seed + 1000, strategy="per-shot")
+    branching = ShotExecutor(circuit).run(400, seed=seed)
+    per_shot = ShotExecutor(circuit).run_per_shot(400, seed=seed + 1000)
     outcome = two_sample_chi_square(branching, per_shot)
     assert outcome.p_value >= 1e-6, (
         f"seed {seed}: chi²={outcome.statistic:.2f}, p={outcome.p_value:.3e}"

@@ -23,7 +23,6 @@ from repro.dd.apply import GateApplier
 from repro.dd.complex_table import ComplexTable
 from repro.dd.package import DDPackage
 from repro.exceptions import DDError, SimulationError
-from repro.perf import kernel as kernel_mod
 from repro.perf.kernel import KernelEngine
 from repro.simulators import DDSimulator
 from repro.telemetry import Telemetry
@@ -111,8 +110,9 @@ class TestEdgeSoARoundTrip:
 
 class TestBitIdentity:
     def test_random_circuits_bit_identical(self):
-        for seed in range(4):
-            circuit = random_circuit(5, 40, seed=300 + seed)
+        circuits = [random_circuit(5, 40, seed=300 + seed) for seed in range(4)]
+        circuits.append(random_circuit(6, 50, seed=77))
+        for circuit in circuits:
             vector = DDSimulator().run(circuit)
             python = DDSimulator(kernel="python").run(circuit)
             assert np.array_equal(
@@ -130,26 +130,6 @@ class TestBitIdentity:
             5000, np.random.default_rng(17)
         )
         assert np.array_equal(drawn_v, drawn_p)
-
-    def test_forced_batched_sweep_matches_scalar(self, monkeypatch):
-        # Width 1 forces the NumPy level sweep everywhere; width 10**9
-        # forces the scalar replay everywhere.  Both must agree exactly
-        # with each other and with the python engine.
-        circuit = random_circuit(6, 50, seed=77)
-        python = DDSimulator(kernel="python").run(circuit).probabilities()
-        monkeypatch.setattr(kernel_mod, "DEFAULT_BATCH_MIN_WIDTH", 1)
-        batched = DDSimulator().run(circuit).probabilities()
-        monkeypatch.setattr(kernel_mod, "DEFAULT_BATCH_MIN_WIDTH", 10**9)
-        scalar = DDSimulator().run(circuit).probabilities()
-        assert np.array_equal(batched, scalar)
-        assert np.array_equal(batched, python)
-
-    def test_batched_levels_actually_ran(self, monkeypatch):
-        monkeypatch.setattr(kernel_mod, "DEFAULT_BATCH_MIN_WIDTH", 1)
-        simulator = DDSimulator()
-        simulator.run(random_circuit(6, 50, seed=78))
-        assert simulator.stats.kernel == "vector"
-        assert simulator.stats.kernel_batched_levels > 0
 
 
 class TestKernelSelection:
@@ -228,6 +208,23 @@ class TestOneBuildLoop:
                 simulator.stats.diagonal_term_applications
                 == reference.stats.diagonal_term_applications
             )
+
+    def test_compaction_bounds_the_unique_table(self):
+        # Every cswap falls back through the edge form, which leaves
+        # nodes in the package's unique table; the kernel must count and
+        # collect them as the python engine does.
+        rng = np.random.default_rng(0)
+        circuit = QuantumCircuit(6)
+        for _ in range(40):
+            circuit.ry(float(rng.uniform(0, 2 * np.pi)), int(rng.integers(6)))
+            circuit.cswap(*(int(q) for q in rng.choice(6, 3, replace=False)))
+        settings = {"optimize": False, "auto_compact_threshold": 300}
+        expected = DDSimulator(kernel="python", **settings).run(circuit)
+        simulator = DDSimulator(**settings)
+        state = simulator.run(circuit)
+        assert simulator.stats.kernel_fallbacks == 40
+        assert len(simulator.package.unique_table) < 300
+        assert np.array_equal(state.probabilities(), expected.probabilities())
 
     @staticmethod
     def _traced_build(**settings) -> Telemetry:
@@ -315,8 +312,7 @@ class TestSnapRestealing:
         probe = complex(0.95 * tol, 0.0)
         assert cache.intern(probe) == table.lookup(probe) == 0.0
         stealer = complex(1.8 * tol, 0.0)  # > tol from 0: new canonical
-        assert table.lookup(stealer) == stealer
-        cache.note_insert(stealer)
+        assert cache.intern(stealer) == stealer
         # The new canonical is within 0.85*tol of the probe — closer
         # than zero — so both the table and the cache must now re-snap.
         assert table.lookup(probe) == stealer

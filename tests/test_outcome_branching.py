@@ -6,7 +6,6 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.core.indistinguishability import chi_square_gof, two_sample_chi_square
 from repro.core.shot_executor import ShotExecutor
-from repro.exceptions import SimulationError
 from repro.noise import NoiseModel, noisy_probabilities_dense
 
 SHOTS = 20_000
@@ -41,23 +40,6 @@ class TestBranchingEquivalence:
         branching = executor.run(SHOTS, seed=2)
         reference = executor.run_per_shot(SHOTS, seed=3)
         assert two_sample_chi_square(branching.counts, reference.counts).consistent
-
-    def test_explicit_strategy_matches_default(self):
-        executor = ShotExecutor(_mid_circuit_circuit())
-        default = executor.run(500, seed=4)
-        explicit = executor.run(500, seed=4, strategy="branching")
-        assert default.counts == explicit.counts
-
-    def test_per_shot_strategy_routes_to_reference(self):
-        executor = ShotExecutor(_mid_circuit_circuit())
-        via_run = executor.run(300, seed=5, strategy="per-shot")
-        direct = executor.run_per_shot(300, seed=5)
-        assert via_run.counts == direct.counts
-
-    def test_unknown_strategy_rejected(self):
-        executor = ShotExecutor(_mid_circuit_circuit())
-        with pytest.raises(SimulationError):
-            executor.run(10, strategy="bogus")
 
 
 class TestBranchingStructure:

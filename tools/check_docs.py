@@ -16,9 +16,9 @@ dead end:
   paths (``src/repro/service/api.py``, ``docs/serving.md``,
   ``examples/serving_demo.py`` …) must exist on disk,
 * **module references** — inline code spans naming ``repro.*`` dotted
-  modules must resolve to a module or package under ``src/`` (a trailing
-  attribute like ``repro.telemetry.Telemetry`` is fine as long as a
-  module prefix resolves),
+  names must resolve: the longest prefix that is a module or package
+  under ``src/`` is imported, and any trailing attributes (the
+  ``Telemetry`` of ``repro.telemetry.Telemetry``) must exist on it,
 * **command snippets** — fenced shell blocks invoking one of the
   repository's CLIs (``python -m repro.service``, ``repro-sample``,
   ``python -m repro.telemetry.report`` …) must only use flags that the
@@ -48,6 +48,7 @@ otherwise (``tests/test_docs_links.py`` runs this in the tier-1 suite).
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import shlex
 import sys
@@ -146,14 +147,30 @@ def _resolve_target(doc: Path, target: str) -> Path:
     return (doc.parent / target).resolve()
 
 
-def _module_resolves(dotted: str) -> bool:
-    """Whether some prefix of ``repro.a.b.C`` is a module under ``src/``."""
+def _unresolved(dotted: str) -> Optional[str]:
+    """Why ``repro.a.b.C`` does not resolve, or ``None`` when it does.
+
+    The longest prefix that is a module or package under ``src/`` is
+    imported, and the rest of the name is looked up on it one attribute
+    at a time.
+    """
     parts = dotted.split(".")
     for end in range(len(parts), 1, -1):
         candidate = REPO_ROOT / "src" / Path(*parts[:end])
         if candidate.is_dir() or candidate.with_suffix(".py").is_file():
-            return True
-    return False
+            break
+    else:
+        return f"module reference not found under src/: {dotted}"
+    target = importlib.import_module(".".join(parts[:end]))
+    for index in range(end, len(parts)):
+        try:
+            target = getattr(target, parts[index])
+        except AttributeError:
+            return (
+                f"attribute reference not found: {dotted} "
+                f"({'.'.join(parts[:index])} has no {parts[index]!r})"
+            )
+    return None
 
 
 def _runnable(dotted: str) -> bool:
@@ -286,10 +303,9 @@ class DocsChecker:
             if not (REPO_ROOT / candidate).exists():
                 self._problem(doc, line, f"path reference not found: {span}")
         elif _MODULE.match(span):
-            if not _module_resolves(span):
-                self._problem(
-                    doc, line, f"module reference not found under src/: {span}"
-                )
+            reason = _unresolved(span)
+            if reason is not None:
+                self._problem(doc, line, reason)
 
     def _check_command(self, doc: Path, line: int, command_line: str) -> None:
         stripped = command_line.strip().lstrip("$ ").rstrip("\\").strip()
