@@ -66,6 +66,13 @@ __all__ = [
 
 _ATOL = 1e-10
 
+#: Entries kept by each ``Gate``-keyed memo (the ``lru_cache`` predicates
+#: in :mod:`repro.compile.passes` and :mod:`repro.dd.apply`).  Seeded
+#: rotations make most served gates distinct, so an unbounded memo grows
+#: with every request a long-lived worker answers; one circuit brings a
+#: few dozen distinct gates, far under this bound.
+GATE_MEMO_SIZE = 256
+
 
 def is_unitary(matrix: np.ndarray, atol: float = 1e-9) -> bool:
     """Return ``True`` when ``matrix`` is unitary within ``atol``."""

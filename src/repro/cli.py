@@ -319,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             line += (
                 f" ({noise_meta['channel_applications']} channel "
                 f"applications, {noise_meta['kraus_applications']} Kraus "
-                "conjugations; samples drawn from the mixed-state diagonal)"
+                "operators folded; samples drawn from the mixed-state diagonal)"
             )
         print(line)
     for bitstring, count in result.most_common(args.top):

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.gates import Gate, gphase_gate
+from ..circuit.gates import GATE_MEMO_SIZE, Gate, gphase_gate
 from ..circuit.operations import (
     Barrier,
     BaseOperation,
@@ -46,8 +46,9 @@ __all__ = [
 #
 # Gates are frozen (hashable) and heavily repeated — a Grover circuit is a
 # few distinct gates applied hundreds of times — so every per-gate
-# predicate is memoised.  Matrices are 2x2 or 4x4; direct scalar loops
-# beat ``np.allclose`` (which dominates pipeline profiles otherwise).
+# predicate is memoised, up to ``GATE_MEMO_SIZE`` gates each.  Matrices
+# are 2x2 or 4x4; direct scalar loops beat ``np.allclose`` (which
+# dominates pipeline profiles otherwise).
 
 
 def _is_identity(matrix, tolerance: float) -> bool:
@@ -60,14 +61,14 @@ def _is_identity(matrix, tolerance: float) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GATE_MEMO_SIZE)
 def _gate_array(gate: Gate) -> np.ndarray:
     array = gate.array
     array.setflags(write=False)
     return array
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GATE_MEMO_SIZE)
 def _gate_is_diagonal(gate: Gate, tolerance: float) -> bool:
     return all(
         abs(value) <= tolerance
@@ -77,12 +78,12 @@ def _gate_is_diagonal(gate: Gate, tolerance: float) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GATE_MEMO_SIZE)
 def _gate_is_identity(gate: Gate, tolerance: float) -> bool:
     return _is_identity(gate.matrix, tolerance)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GATE_MEMO_SIZE)
 def _gates_cancel(first: Gate, second: Gate, tolerance: float) -> bool:
     """Is ``second @ first`` the identity (``first`` applied first)?"""
     if first.num_qubits != second.num_qubits:
@@ -108,7 +109,7 @@ def _wrap_angle(angle: float) -> float:
     return math.remainder(angle, math.tau)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GATE_MEMO_SIZE)
 def _monomial_angles(gate: Gate) -> Tuple[float, ...]:
     """Möbius-transformed diagonal phases of a diagonal gate's matrix."""
     size = 1 << gate.num_qubits

@@ -27,7 +27,7 @@ from .complex_table import DEFAULT_TOLERANCE, ComplexTable
 from .compute_table import ComputeTable
 from .density import (
     DensityMatrixDD,
-    apply_kraus_dds,
+    apply_local_map,
     apply_superoperator,
     diagonal_edge,
     matrix_adjoint,
@@ -96,7 +96,7 @@ __all__ = [
     "outer_product",
     "diagonal_edge",
     "apply_superoperator",
-    "apply_kraus_dds",
+    "apply_local_map",
     "downstream_probabilities",
     "upstream_probabilities",
     "qubit_probability",

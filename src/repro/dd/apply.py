@@ -35,7 +35,7 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from ..circuit.gates import h_gate
+from ..circuit.gates import GATE_MEMO_SIZE, h_gate
 from ..circuit.operations import DiagonalOperation, Operation
 from ..exceptions import DDError
 from .matrix_dd import OperationDDCache
@@ -46,11 +46,12 @@ __all__ = ["GateApplier", "apply_operation"]
 
 # Gates are frozen (hashable) and heavily repeated — a circuit is a few
 # distinct gates applied hundreds of times — so the per-gate structural
-# tests below are memoised and loop over the stored matrix tuples (no
-# NumPy array construction on the per-operation path).
+# tests below are memoised (up to ``GATE_MEMO_SIZE`` gates each) and
+# loop over the stored matrix tuples (no NumPy array construction on the
+# per-operation path).
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GATE_MEMO_SIZE)
 def _gate_is_diagonal(gate, tolerance: float) -> bool:
     """Memoised entry-wise off-diagonal test (``Gate.is_diagonal``)."""
     for row, values in enumerate(gate.matrix):
@@ -60,7 +61,7 @@ def _gate_is_diagonal(gate, tolerance: float) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GATE_MEMO_SIZE)
 def _is_x_matrix(gate, tolerance: float) -> bool:
     """Exact structural test for the 2x2 Pauli-X matrix."""
     if gate.num_qubits != 1:
@@ -74,7 +75,7 @@ def _is_x_matrix(gate, tolerance: float) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GATE_MEMO_SIZE)
 def _is_swap_matrix(gate, tolerance: float) -> bool:
     """Exact structural test for the 4x4 SWAP matrix."""
     if gate.num_qubits != 2:

@@ -8,9 +8,10 @@ Everything here reuses :class:`~repro.dd.package.DDPackage` machinery:
 * unitary evolution is two matrix products, ``U · rho · U†``
   (:func:`apply_superoperator`), with the adjoint built once per
   operator by :func:`matrix_adjoint`;
-* a Kraus channel is a sum of such conjugations
-  (:func:`apply_kraus_dds`), non-unitary operators included —
-  :func:`~repro.dd.matrix_dd.operation_dd` never assumed unitarity;
+* a single-qubit channel is local: :func:`apply_local_map` walks down
+  to the qubit's level and recombines each node's four successor
+  blocks with the channel's 4×4 superoperator ``sum_k K_k ⊗ conj(K_k)``
+  — no full-register product, whatever the number of Kraus operators;
 * sampling needs only the diagonal: :func:`diagonal_edge` projects
   ``rho`` onto a *probability vector* DD (L1 path-product semantics,
   entries ``rho_ii``), which
@@ -28,7 +29,7 @@ is gated behind explicit noise configs (see ``docs/noise.md``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ __all__ = [
     "outer_product",
     "diagonal_edge",
     "apply_superoperator",
-    "apply_kraus_dds",
+    "apply_local_map",
 ]
 
 
@@ -180,15 +181,50 @@ def apply_superoperator(
     return package.mat_mat(operator, package.mat_mat(rho, operator_adjoint))
 
 
-def apply_kraus_dds(
-    package: DDPackage, rho: Edge, kraus_pairs: Iterable[Tuple[Edge, Edge]]
+def apply_local_map(
+    package: DDPackage, edge: Edge, qubit: int, superoperator
 ) -> Edge:
-    """``rho -> sum_i K_i rho K_i†`` over pre-built ``(K, K†)`` DD pairs."""
-    total = package.zero_edge
-    for operator, adjoint in kraus_pairs:
-        term = apply_superoperator(package, rho, operator, adjoint)
-        total = package.matrix_add(total, term)
-    return total
+    """Apply a linear map to ``qubit``'s successor blocks of a DD.
+
+    ``superoperator`` is square over a node's successor order: 4×4 on a
+    matrix DD (row ``2i + j`` builds block ``(i, j)`` of ``rho`` from
+    the old blocks ``(a, b)`` at column ``2a + b``, so a Kraus channel
+    is ``sum_k K_k ⊗ conj(K_k)``), 2×2 on a vector DD (row ``i`` builds
+    successor ``i``; the readout fold passes its confusion matrix).
+    Levels above ``qubit`` are rebuilt through a per-node memo — the map
+    is linear, so ``f(w·N) = w·f(N)`` — and levels below it are shared
+    untouched.  A DD that skips the level raises
+    :class:`~repro.exceptions.DDError`.
+    """
+    if len(superoperator) == 4:
+        make, add = package.make_matrix_node, package.matrix_add
+    else:
+        make, add = package.make_vector_node, package.add
+    memo: Dict[int, Edge] = {}
+
+    def walk(sub: Edge) -> Edge:
+        if sub.is_zero:
+            return package.zero_edge
+        node = sub.node
+        if is_terminal(node) or node.var < qubit:
+            raise DDError(f"DD skips the level of qubit {qubit}")
+        cached = memo.get(node.index)
+        if cached is None:
+            if node.var == qubit:
+                children = []
+                for row in superoperator:
+                    total = package.zero_edge
+                    for coefficient, child in zip(row, node.edges):
+                        if coefficient and not child.is_zero:
+                            total = add(total, package.scale(child, coefficient))
+                    children.append(total)
+            else:
+                children = [walk(child) for child in node.edges]
+            cached = make(node.var, tuple(children))
+            memo[node.index] = cached
+        return package.scale(cached, sub.weight)
+
+    return walk(edge)
 
 
 class DensityMatrixDD:

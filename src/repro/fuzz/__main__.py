@@ -7,14 +7,15 @@ Examples::
     python -m repro.fuzz --families clifford,nearzero
     python -m repro.fuzz --self-check                    # mutation test
 
-``--self-check`` deliberately injects three known bugs — a normalisation
+``--self-check`` deliberately injects four known bugs — a normalisation
 skew in the DD package, an over-pruning approximation that lies about
-its fidelity bound, and a library front door that samples
-measure-and-continue circuits from their final unitary state again —
-and verifies the fuzzer catches all three (and minimizes the first to a
-handful of gates) — proof the oracles have teeth (documented in
-``docs/fuzzing.md``).  Exit status is non-zero when failures are found
-(or, under ``--self-check``, when an injected bug is *not* found).
+its fidelity bound, a library front door that samples
+measure-and-continue circuits from their final unitary state again, and
+a channel superoperator built without its conjugate — and verifies the
+fuzzer catches all four (and minimizes the first to a handful of gates)
+— proof the oracles have teeth (documented in ``docs/fuzzing.md``).
+Exit status is non-zero when failures are found (or, under
+``--self-check``, when an injected bug is *not* found).
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from .. import telemetry as _telemetry
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.operations import Measurement
 from ..dd import approximation as _dd_approximation
 from ..dd import package as _dd_package
+from ..noise.channels import KrausChannel
 from . import oracles as _oracles
 from .families import FAMILIES
 from .runner import FuzzConfig, FuzzReport, run_fuzz
@@ -165,6 +169,20 @@ def _unrouted_simulate_and_sample(circuit, shots, **kwargs):
 _ORIGINAL_SIMULATE = _oracles.simulate_and_sample
 
 
+def _unconjugated_superoperator(channel):
+    """The planted channel bug: the superoperator built without the
+    conjugate, ``sum K ⊗ K``, so a channel with a complex Kraus operator
+    (depolarizing's ``Y``) maps ``rho`` through ``K rho K^T`` instead of
+    ``K rho K†``.  The ``noisy-vs-dense`` oracle must notice the density
+    path drifting from the dense reference.
+    """
+    total = sum(np.kron(kraus, kraus) for kraus in channel.arrays)
+    return tuple(tuple(complex(value) for value in row) for row in total)
+
+
+_ORIGINAL_SUPEROPERATOR = KrausChannel.superoperator
+
+
 def _check_normalize_mutation(args: argparse.Namespace) -> int:
     """The fuzzer must catch the skew bug and minimize it tightly."""
     with tempfile.TemporaryDirectory() as scratch:
@@ -254,12 +272,42 @@ def _check_route_mutation(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_superoperator_mutation(args: argparse.Namespace) -> int:
+    """The noisy-vs-dense oracle must catch an unconjugated superoperator."""
+    with tempfile.TemporaryDirectory() as scratch:
+        config = FuzzConfig(
+            families=("clifford",),
+            seed=args.seed,
+            max_circuits=4,
+            minimize=False,
+            corpus_dir=Path(scratch),
+        )
+        KrausChannel.superoperator = property(_unconjugated_superoperator)
+        try:
+            report = run_fuzz(config)
+        finally:
+            KrausChannel.superoperator = _ORIGINAL_SUPEROPERATOR
+    caught = [f for f in report.failures if f.oracle == "noisy-vs-dense"]
+    if not caught:
+        print(
+            "self-check FAILED: planted superoperator bug went undetected "
+            "by the noisy-vs-dense oracle"
+        )
+        return 1
+    print(
+        "self-check passed: planted superoperator bug caught "
+        f"{len(caught)} time(s) by noisy-vs-dense"
+    )
+    return 0
+
+
 def _run_self_check(args: argparse.Namespace) -> int:
     """Mutation tests: each planted bug must be found by its oracle."""
     return (
         _check_normalize_mutation(args)
         | _check_overpruning_mutation(args)
         | _check_route_mutation(args)
+        | _check_superoperator_mutation(args)
     )
 
 

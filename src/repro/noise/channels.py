@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
@@ -84,9 +85,10 @@ def validate_kraus(
 class KrausChannel:
     """A trace-preserving single-qubit channel ``rho -> sum K_i rho K_i†``.
 
-    Operators are stored as hashable nested tuples (so channels can key
-    operator-DD caches); :attr:`arrays` exposes them as NumPy matrices.
-    Construction validates the completeness relation.
+    Operators are stored as hashable nested tuples; :attr:`arrays`
+    exposes them as NumPy matrices and :attr:`superoperator` as the one
+    4×4 map the density simulator applies.  Construction validates the
+    completeness relation.
     """
 
     name: str
@@ -104,6 +106,18 @@ class KrausChannel:
             np.asarray(operator, dtype=np.complex128)
             for operator in self.operators
         )
+
+    @cached_property
+    def superoperator(self) -> Tuple[Tuple[complex, ...], ...]:
+        """``S = sum_i K_i ⊗ conj(K_i)``, built once per channel.
+
+        Entry ``[2i + j][2a + b]`` is ``sum_k K[i, a] conj(K[j, b])``:
+        the weight of block ``(a, b)`` of ``rho`` in block ``(i, j)`` of
+        the output, in a matrix-DD node's successor order (see
+        :func:`repro.dd.density.apply_local_map`).
+        """
+        total = sum(np.kron(kraus, kraus.conj()) for kraus in self.arrays)
+        return tuple(tuple(complex(value) for value in row) for row in total)
 
     def __len__(self) -> int:
         return len(self.operators)

@@ -62,8 +62,8 @@ class SimulationStats:
     #: :mod:`repro.noise` and :class:`repro.simulators.DensityMatrixSimulator`.
     #: ``noise_channel_applications`` counts single-qubit channel
     #: applications (including measurement dephasing);
-    #: ``noise_kraus_applications`` counts the individual ``K rho K†``
-    #: conjugations inside them.
+    #: ``noise_kraus_applications`` counts the Kraus operators folded
+    #: into the superoperators those applications used.
     noise_channel_applications: int = 0
     noise_kraus_applications: int = 0
 

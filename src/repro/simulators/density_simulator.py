@@ -3,11 +3,12 @@
 The noisy sibling of :class:`~repro.simulators.dd_simulator.DDSimulator`:
 gates conjugate the state (``U rho U†``), and after every gate the
 configured :class:`~repro.noise.NoiseModel` channels are applied to each
-qubit the gate touched.  Mid-circuit measurements become non-selective
-dephasing (measure-and-forget), which is exactly their effect on the
-ensemble state.  The result is a :class:`~repro.dd.density.DensityMatrixDD`
-whose diagonal feeds the compiled sampling path
-(:func:`compile_noisy_sampler`).
+qubit the gate touched, each as one 4×4 superoperator at that qubit's
+level (:func:`~repro.dd.density.apply_local_map`).  Mid-circuit
+measurements become non-selective dephasing (measure-and-forget), which
+is exactly their effect on the ensemble state.  The result is a
+:class:`~repro.dd.density.DensityMatrixDD` whose diagonal feeds the
+compiled sampling path (:func:`compile_noisy_sampler`).
 
 Two deliberate contract differences from the pure-state simulator:
 
@@ -16,35 +17,29 @@ Two deliberate contract differences from the pure-state simulator:
   noise locations and change the physics — so the optimizer's
   equivalence guarantee does not carry over and it is not run.
 * **Python engine only.**  Superoperator application needs the edge
-  representation (two matrix products plus Kraus sums per gate); the
-  SoA vector kernel does not apply.  Mixed-state DDs can approach the
-  square of the pure-state DD size, so this path is priced accordingly
-  (see ``docs/noise.md``).
+  representation (two matrix products per gate, a per-level walk per
+  channel); the SoA vector kernel does not apply.  Mixed-state DDs can
+  approach the square of the pure-state DD size, so this path is priced
+  accordingly (see ``docs/noise.md``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import telemetry as _telemetry
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.gates import Gate
-from ..circuit.operations import (
-    Barrier,
-    DiagonalOperation,
-    Measurement,
-    Operation,
-)
+from ..circuit.operations import Barrier, DiagonalOperation, Measurement
 from ..dd.density import (
     DensityMatrixDD,
-    apply_kraus_dds,
+    apply_local_map,
     apply_superoperator,
     matrix_adjoint,
 )
-from ..dd.matrix_dd import OperationDDCache, operation_dd
+from ..dd.matrix_dd import OperationDDCache
 from ..dd.node import Edge
 from ..dd.package import DDPackage
-from ..noise.channels import KrausChannel, dephasing
+from ..noise.channels import dephasing
 from ..noise.model import NoiseModel
 from ..perf.compiled_dd import CompiledDD, compile_probability_edge
 from .base import SimulationStats, StrongSimulator
@@ -60,7 +55,7 @@ __all__ = [
 #: Cadence (applied gates) for the build-time ``node_limit`` guard.
 #: Unlike the pure path's every-25-gates cadence, density builds check
 #: after *every* gate: a mixed-state gate application costs two matrix
-#: multiplies plus a Kraus sum — orders of magnitude more than the
+#: multiplies plus a per-level walk per channel — far more than the
 #: O(nodes) count probe — and short circuits (a 20-qubit GHZ ladder is
 #: ~21 gates) would otherwise never hit a sparser check before the
 #: runaway build finishes or exhausts the machine.
@@ -92,11 +87,6 @@ DENSITY_TOLERANCE = 1e-14
 #: weights (under the absolute window) still snap to exact zero, which
 #: drops the branch rather than rescaling it.
 DENSITY_RELATIVE_TOLERANCE = 1e-12
-
-
-def _freeze(matrix) -> Tuple[Tuple[complex, ...], ...]:
-    """Nested-tuple form for ad-hoc (Kraus/readout) gate matrices."""
-    return tuple(tuple(complex(value) for value in row) for row in matrix)
 
 
 class DensityMatrixSimulator(StrongSimulator):
@@ -154,55 +144,22 @@ class DensityMatrixSimulator(StrongSimulator):
     # Internals
     # ------------------------------------------------------------------
 
-    def _kraus_pairs(
-        self,
-        channel: KrausChannel,
-        qubit: int,
-        num_qubits: int,
-        cache: Dict[Tuple[KrausChannel, int], List[Tuple[Edge, Edge]]],
-    ) -> List[Tuple[Edge, Edge]]:
-        """The ``(K, K†)`` operator-DD pairs of ``channel`` on ``qubit``."""
-        key = (channel, qubit)
-        pairs = cache.get(key)
-        if pairs is None:
-            pairs = []
-            for index, kraus in enumerate(channel.arrays):
-                gate = Gate(
-                    name=f"{channel.name}[{index}]",
-                    num_qubits=1,
-                    matrix=_freeze(kraus),
-                )
-                operator = operation_dd(
-                    self.package, Operation(gate, (qubit,)), num_qubits
-                )
-                pairs.append((operator, matrix_adjoint(self.package, operator)))
-            cache[key] = pairs
-        return pairs
-
-    def _apply_channels(
-        self,
-        rho: Edge,
-        channels,
-        qubits,
-        num_qubits: int,
-        kraus_cache,
-        session,
-    ) -> Edge:
+    def _apply_channels(self, rho: Edge, channels, qubits, session) -> Edge:
         """Apply each channel to each qubit, with telemetry accounting."""
         for channel in channels:
+            superoperator = channel.superoperator
             for qubit in qubits:
-                pairs = self._kraus_pairs(
-                    channel, qubit, num_qubits, kraus_cache
-                )
                 if session is not None:
                     with session.span(
                         "noise.channel", channel=channel.name, qubit=qubit
                     ):
-                        rho = apply_kraus_dds(self.package, rho, pairs)
+                        rho = apply_local_map(
+                            self.package, rho, qubit, superoperator
+                        )
                 else:
-                    rho = apply_kraus_dds(self.package, rho, pairs)
+                    rho = apply_local_map(self.package, rho, qubit, superoperator)
                 self._stats.noise_channel_applications += 1
-                self._stats.noise_kraus_applications += len(pairs)
+                self._stats.noise_kraus_applications += len(channel)
         return rho
 
     def _run_traced(
@@ -218,7 +175,6 @@ class DensityMatrixSimulator(StrongSimulator):
         dephase = dephasing()
         op_cache = OperationDDCache(package, num_qubits)
         adjoint_cache: Dict[Tuple[int, complex], Edge] = {}
-        kraus_cache: Dict[Tuple[KrausChannel, int], List[Tuple[Edge, Edge]]] = {}
         peak = package.node_count(rho) if self.track_peak else 0
         session = _telemetry.active()
         build_span = (
@@ -237,8 +193,7 @@ class DensityMatrixSimulator(StrongSimulator):
                         else instruction.qubits
                     )
                     rho = self._apply_channels(
-                        rho, (dephase,), measured, num_qubits,
-                        kraus_cache, session,
+                        rho, (dephase,), measured, session
                     )
                     continue
                 lowered = (
@@ -264,8 +219,7 @@ class DensityMatrixSimulator(StrongSimulator):
                         )
                     self._stats.applied_operations += 1
                     rho = self._apply_channels(
-                        rho, channels, sorted(op.qubits), num_qubits,
-                        kraus_cache, session,
+                        rho, channels, sorted(op.qubits), session
                     )
                 if self.track_peak:
                     peak = max(peak, package.node_count(rho))
@@ -296,7 +250,6 @@ class DensityMatrixSimulator(StrongSimulator):
                     # rebuild them lazily against the fresh unique table.
                     op_cache = OperationDDCache(package, num_qubits)
                     adjoint_cache.clear()
-                    kraus_cache.clear()
             self._stats.final_dd_nodes = package.node_count(rho)
             self._stats.peak_dd_nodes = max(peak, self._stats.final_dd_nodes)
             if (
@@ -336,9 +289,9 @@ def compile_noisy_sampler(
     """Flatten a density matrix into the standard sampling artifact.
 
     Extracts the diagonal as a probability vector DD, folds in the
-    readout confusion matrix (one :func:`~repro.dd.matrix_dd.operation_dd`
-    application per qubit) when the model has readout error, and
-    compiles with
+    readout confusion matrix (one
+    :func:`~repro.dd.density.apply_local_map` per qubit) when the model
+    has readout error, and compiles with
     :func:`~repro.perf.compiled_dd.compile_probability_edge`.  The
     result is a bona fide :class:`~repro.perf.compiled_dd.CompiledDD`:
     it serialises, caches, and samples exactly like an exact artifact.
@@ -355,16 +308,9 @@ def compile_noisy_sampler(
         diagonal = rho.diagonal()
         noise = BuildSpec.of(noise=noise).noise
         if noise is not None and noise.has_readout_error:
-            gate = Gate(
-                name="readout",
-                num_qubits=1,
-                matrix=_freeze(noise.readout_matrix()),
-            )
+            confusion = noise.readout_matrix().astype(complex).tolist()
             for qubit in range(num_qubits):
-                confusion = operation_dd(
-                    package, Operation(gate, (qubit,)), num_qubits
-                )
-                diagonal = package.mat_vec(confusion, diagonal)
+                diagonal = apply_local_map(package, diagonal, qubit, confusion)
         compiled = compile_probability_edge(diagonal, num_qubits)
         if session is not None:
             span.set_attr("compiled_nodes", compiled.size)

@@ -3,7 +3,8 @@
 Each test pins a bug found while building the differential fuzzing
 subsystem: silent collapse amplification below tolerance, complex-table
 tie-break nondeterminism, QASM wrapped-phase/global-phase corruption,
-and degenerate-input crashes in the shot executor.
+and degenerate-input crashes in the shot executor — plus the gate-keyed
+memos that grew with every request a long-lived worker served.
 """
 
 import math
@@ -12,14 +13,18 @@ import numpy as np
 import pytest
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gates import GATE_MEMO_SIZE
 from repro.circuit.qasm import parse_qasm, to_qasm
+from repro.compile import passes
 from repro.compile.pipeline import optimize_circuit
 from repro.core.shot_executor import ShotExecutor
 from repro.core.weak_sim import sample_dd, sample_statevector
 from repro.dd import DDPackage, NormalizationScheme
+from repro.dd import apply as dd_apply
 from repro.dd.complex_table import ComplexTable
 from repro.dd.measure import MIN_COLLAPSE_PROBABILITY, collapse
 from repro.exceptions import SamplingError
+from repro.service import SamplingRequest, SamplingService
 from repro.simulators.dd_simulator import DDSimulator
 from repro.verify.equivalence import check_equivalence
 
@@ -185,3 +190,44 @@ def test_sample_statevector_negative_shots_raises_sampling_error():
     vector = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(SamplingError):
         sample_statevector(vector, -5, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Gate-keyed memos stay bounded however many distinct gates are served.
+# ---------------------------------------------------------------------------
+
+GATE_MEMOS = (
+    passes._gate_array,
+    passes._gate_is_diagonal,
+    passes._gate_is_identity,
+    passes._gates_cancel,
+    passes._monomial_angles,
+    dd_apply._gate_is_diagonal,
+    dd_apply._is_x_matrix,
+    dd_apply._is_swap_matrix,
+)
+
+
+def test_gate_memos_stay_bounded_across_distinct_circuits():
+    # Every request brings fresh rotation angles, as a client's seeded
+    # circuits do, so a memo without a bound would keep one entry per
+    # gate for the worker's life.
+    misses = [memo.cache_info().misses for memo in GATE_MEMOS]
+    with SamplingService() as service:
+        for index in range(GATE_MEMO_SIZE + 44):
+            angle = 1e-3 * (index + 1)
+            circuit = (
+                QuantumCircuit(2)
+                .h(0)
+                .h(1)
+                .rzz(angle, 0, 1)
+                .cp(angle, 0, 1)
+                .rxx(angle, 0, 1)
+                .ryy(angle, 0, 1)
+                .ry(angle, 1)
+            )
+            assert service.sample(SamplingRequest(circuit, 8, seed=index)).ok
+    for memo, before in zip(GATE_MEMOS, misses):
+        info = memo.cache_info()
+        assert info.misses - before > GATE_MEMO_SIZE, memo.__qualname__
+        assert info.currsize <= GATE_MEMO_SIZE, memo.__qualname__

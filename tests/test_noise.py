@@ -9,6 +9,10 @@ Four layers under test:
   noisy sampler agree with the O(4^n) dense reference, preserve trace,
   and survive the tolerance-aliasing regression the differential
   fuzzer found on near-zero-amplitude circuits,
+* **local channel map** — one superoperator applied at a qubit's level
+  equals the Kraus sum of full-register products and dense evolution,
+  the readout fold equals the dense confusion product, and a DD that
+  skips the level is refused,
 * **front door** — ``simulate_and_sample`` honors the
   disabled-means-exact contract and rejects the feature combinations
   the density path cannot serve,
@@ -22,13 +26,24 @@ import pytest
 
 from repro.algorithms.states import bell_pair, ghz
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gates import Gate
+from repro.circuit.operations import Operation
 from repro.core.weak_sim import simulate_and_sample
-from repro.exceptions import NoiseError, SamplingError
+from repro.dd.density import (
+    DensityMatrixDD,
+    apply_local_map,
+    apply_superoperator,
+    matrix_adjoint,
+)
+from repro.dd.matrix_dd import operation_dd
+from repro.dd.package import DDPackage
+from repro.exceptions import DDError, NoiseError, SamplingError
 from repro.noise import (
     CHANNEL_BUILDERS,
     NoiseModel,
     amplitude_damping,
     bit_flip,
+    dephasing,
     depolarizing,
     evolve_density_dense,
     noisy_probabilities_dense,
@@ -37,6 +52,8 @@ from repro.noise import (
 from repro.service import SamplingRequest, SamplingService
 from repro.service.keys import cache_key
 from repro.simulators.density_simulator import (
+    DENSITY_RELATIVE_TOLERANCE,
+    DENSITY_TOLERANCE,
     DensityMatrixSimulator,
     compile_noisy_sampler,
 )
@@ -207,6 +224,129 @@ class TestDensityVsDense:
         assert np.abs(
             rho.probabilities() - compiled.probabilities()
         ).max() > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Local channel map vs Kraus sum and dense reference
+# ---------------------------------------------------------------------------
+
+LOCAL_QUBITS = 4
+
+
+def _density_package() -> DDPackage:
+    return DDPackage(
+        tolerance=DENSITY_TOLERANCE,
+        relative_tolerance=DENSITY_RELATIVE_TOLERANCE,
+    )
+
+
+def _mixed_state(seed: int = 3) -> np.ndarray:
+    """A full-rank 4-qubit density matrix with complex coherences."""
+    rng = np.random.default_rng(seed)
+    size = 2**LOCAL_QUBITS
+    root = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    rho = root @ root.conj().T
+    return rho / np.trace(rho)
+
+
+def _on_qubit(matrix: np.ndarray, qubit: int) -> np.ndarray:
+    """``matrix`` on ``qubit`` of the register (qubit k is bit k)."""
+    return np.kron(
+        np.kron(np.eye(2 ** (LOCAL_QUBITS - 1 - qubit)), matrix),
+        np.eye(2**qubit),
+    )
+
+
+def _kraus_sum(package, edge, channel, qubit):
+    """The Kraus sum of full-register products the local map replaces."""
+    total = package.zero_edge
+    for index, kraus in enumerate(channel.arrays):
+        gate = Gate(
+            name=f"{channel.name}[{index}]",
+            num_qubits=1,
+            matrix=tuple(tuple(complex(v) for v in row) for row in kraus),
+        )
+        operator = operation_dd(
+            package, Operation(gate, (qubit,)), LOCAL_QUBITS
+        )
+        adjoint = matrix_adjoint(package, operator)
+        total = package.matrix_add(
+            total, apply_superoperator(package, edge, operator, adjoint)
+        )
+    return total
+
+
+LOCAL_CHANNELS = [builder(0.3) for builder in CHANNEL_BUILDERS.values()] + [
+    dephasing()
+]
+
+
+class TestLocalChannelMap:
+    @pytest.mark.parametrize(
+        "channel", LOCAL_CHANNELS, ids=[c.name for c in LOCAL_CHANNELS]
+    )
+    @pytest.mark.parametrize("qubit", [LOCAL_QUBITS - 1, 1, 0])
+    def test_matches_kraus_sum_and_dense(self, channel, qubit):
+        package = _density_package()
+        dense = _mixed_state()
+        rho = DensityMatrixDD.from_dense(package, dense).edge
+        local = apply_local_map(package, rho, qubit, channel.superoperator)
+        kraus_sum = _kraus_sum(package, rho, channel, qubit)
+        expected = sum(
+            _on_qubit(k, qubit) @ dense @ _on_qubit(k, qubit).conj().T
+            for k in channel.arrays
+        )
+        local_dense = package.matrix_to_array(local, LOCAL_QUBITS)
+        assert np.abs(local_dense - expected).max() < 1e-12
+        assert np.abs(
+            local_dense - package.matrix_to_array(kraus_sum, LOCAL_QUBITS)
+        ).max() < 1e-12
+
+    def test_readout_fold_matches_dense_confusion(self):
+        package = _density_package()
+        dense = _mixed_state()
+        rho = DensityMatrixDD.from_dense(package, dense)
+        noise = NoiseModel(readout_p01=0.07, readout_p10=0.02)
+        compiled = compile_noisy_sampler(rho, noise)
+        confusion = noise.readout_matrix()
+        full = np.ones((1, 1))
+        for _ in range(LOCAL_QUBITS):
+            full = np.kron(full, confusion)
+        expected = full @ np.diag(dense).real
+        assert np.abs(compiled.probabilities() - expected).max() < 1e-12
+
+    def test_level_skipping_dd_raises(self):
+        package = _density_package()
+        one = package.terminal_edge(1.0)
+        zero = package.zero_edge
+        # A level-1 node whose successors are terminals: level 0 is skipped.
+        matrix = package.make_matrix_node(1, (one, zero, zero, one))
+        with pytest.raises(DDError):
+            apply_local_map(package, matrix, 0, dephasing().superoperator)
+        vector = package.make_vector_node(1, (one, one))
+        with pytest.raises(DDError):
+            apply_local_map(package, vector, 0, ((1, 0), (0, 1)))
+
+    def test_channel_counters_unchanged(self):
+        # Pinned to the values of the Kraus-sum implementation: one
+        # channel application per (channel, qubit) and one Kraus count
+        # per operator folded into each superoperator.
+        circuit = (
+            QuantumCircuit(3)
+            .h(0)
+            .cx(0, 1)
+            .measure(1)
+            .ccx(0, 1, 2)
+            .rz(0.3, 2)
+            .measure_all()
+        )
+        noise = NoiseModel(
+            depolarizing=0.01, amplitude_damping=0.02, phase_damping=0.03
+        )
+        simulator = DensityMatrixSimulator(noise=noise)
+        simulator.run(circuit)
+        assert simulator.stats.noise_channel_applications == 25
+        assert simulator.stats.noise_kraus_applications == 64
 
 
 # ---------------------------------------------------------------------------
