@@ -72,7 +72,7 @@ class ShotExecutor:
     The unitary segments run on the engine
     :func:`~repro.perf.kernel.select_engine` picks, as a
     :class:`~repro.simulators.dd_simulator.DDSimulator` build does:
-    the SoA kernel under L2, the python reference otherwise or with
+    the SoA kernel under either scheme, or the python reference with
     ``kernel="python"``.  Collapse needs the edge form, so on the kernel
     every segment ending in a mid-circuit measurement is a forced round
     trip, counted as ``kernel_measurement_fallbacks``.
@@ -87,7 +87,7 @@ class ShotExecutor:
         kernel: str = "auto",
         initial_state: int = 0,
     ):
-        self._engine = select_engine(scheme, kernel)
+        self._engine = select_engine(kernel)
         #: Optional telemetry session activated around every run (the
         #: branching counters below are absorbed into its registry).
         self.telemetry = telemetry

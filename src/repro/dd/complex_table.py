@@ -39,13 +39,22 @@ class ComplexTable:
         self.tolerance = tolerance
         self.relative_tolerance = relative_tolerance
         self._buckets: Dict[Tuple[int, int], complex] = {}
+        #: Exact-hit index: every entry some :meth:`lookup` resolved a
+        #: value to itself, keyed and valued by the entry object (equality
+        #: folds a ``-0.0`` probe onto it).  An entry is its own nearest
+        #: entry, so ``lookup(v) == fixed[v]`` holds for as long as it
+        #: stays in its bucket; the miss that evicts it also drops it
+        #: here.  Hot callers (the SoA kernel) probe it inline and call
+        #: :meth:`lookup` only on a miss.  A value that snaps to a
+        #: *different* entry is never indexed: a later insert can sit
+        #: closer to it and take it over.
+        self.fixed: Dict[complex, complex] = {}
         self.hits = 0
         self.misses = 0
-        #: Monotonic insert counter.  Canonical entries are never removed
-        #: and are pairwise further than ``tolerance`` apart, so a lookup
-        #: result can only change when a *new* entry is inserted.  Its one
-        #: reader, the SoA kernel's row re-normalisation memo
-        #: (``KernelEngine._rebuild_row``), stays valid exactly as long as
+        #: Monotonic insert counter.  A lookup result can only change when
+        #: a miss inserts a new entry (which, under the relative guard, may
+        #: also evict one), so the SoA kernel's row re-normalisation memo
+        #: (``KernelEngine._rebuild_row``) stays valid exactly as long as
         #: ``version`` is unchanged.  The counter survives :meth:`clear`
         #: so a stale memo never revalidates.
         self.version = getattr(self, "version", 0)
@@ -69,12 +78,6 @@ class ComplexTable:
     def __len__(self) -> int:
         return len(self._buckets)
 
-    def _key(self, value: complex) -> Tuple[int, int]:
-        return (
-            int(math.floor(value.real / self.tolerance + 0.5)),
-            int(math.floor(value.imag / self.tolerance + 0.5)),
-        )
-
     def lookup(self, value: complex) -> complex:
         """Return the canonical representative for ``value``.
 
@@ -96,55 +99,74 @@ class ComplexTable:
         independent of bucket-scan order and of the insertion order that
         placed the entries — so boundary values canonicalise identically
         in every run.
+
+        This is the one implementation of the interning rule, written
+        inline because it is the hot path of every build: the python
+        engine calls it per weight, and the SoA kernel calls it whenever
+        :attr:`fixed` misses.
         """
-        value = complex(
-            value.real if value.real != 0.0 else 0.0,
-            value.imag if value.imag != 0.0 else 0.0,
-        )
-        key = self._key(value)
+        vr = value.real
+        vi = value.imag
+        if vr == 0.0:
+            vr = 0.0
+        if vi == 0.0:
+            vi = 0.0
+        norm = complex(vr, vi)
+        tol = self.tolerance
+        relative = self.relative_tolerance
+        kr = int(math.floor(vr / tol + 0.5))
+        ki = int(math.floor(vi / tol + 0.5))
+        buckets = self._buckets
         # Check the home bucket and its eight neighbours, keeping the best
         # in-tolerance candidate rather than the first one scanned.
-        best: complex | None = None
-        best_rank: Tuple[float, float, float] | None = None
+        best = None
+        best_rank = None
         for dr in (0, -1, 1):
+            kk = kr + dr
             for di in (0, -1, 1):
-                candidate = self._buckets.get((key[0] + dr, key[1] + di))
-                if candidate is None or not self._close(candidate, value):
+                cand = buckets.get((kk, ki + di))
+                if cand is None:
                     continue
-                rank = (
-                    abs(candidate - value),
-                    candidate.real,
-                    candidate.imag,
-                )
+                cr = cand.real
+                cim = cand.imag
+                if abs(cr - vr) > tol or abs(cim - vi) > tol:
+                    continue
+                distance = abs(cand - norm)
+                # Relative guard: a nonzero weight may only unify with an
+                # entry that is close *relative to its magnitude*.  Under
+                # left-most normalisation a tiny top weight divides the
+                # O(1) subtree below it, so an absolute-window snap (fine
+                # for O(1) amplitudes) becomes an O(tolerance / |w|)
+                # relative error amplified through the whole branch.
+                # Zero stays an absolute snap: unifying with exact zero
+                # *drops* the branch instead of rescaling it, which costs
+                # only the snapped magnitude itself.
+                if (
+                    relative
+                    and cand != 0.0
+                    and norm != 0.0
+                    and distance > relative * max(abs(cand), abs(norm))
+                ):
+                    continue
+                rank = (distance, cr, cim)
                 if best_rank is None or rank < best_rank:
-                    best, best_rank = candidate, rank
+                    best, best_rank = cand, rank
         if best is not None:
             self.hits += 1
+            if best == norm:
+                self.fixed[best] = best
             return best
-        self._buckets[key] = value
+        key = (kr, ki)
+        evicted = buckets.setdefault(key, norm)
+        if evicted is not norm:
+            # Only a relative-guard miss can find its home bucket
+            # occupied; the entry it overwrites stops being canonical.
+            buckets[key] = norm
+            self.fixed.pop(evicted, None)
         self.misses += 1
         self.version += 1
-        return value
-
-    def _close(self, a: complex, b: complex) -> bool:
-        if (
-            abs(a.real - b.real) > self.tolerance
-            or abs(a.imag - b.imag) > self.tolerance
-        ):
-            return False
-        if self.relative_tolerance <= 0.0:
-            return True
-        # Relative guard: a nonzero weight may only unify with an entry
-        # that is close *relative to its magnitude*.  Under left-most
-        # normalisation a tiny top weight divides the O(1) subtree below
-        # it, so an absolute-window snap (fine for O(1) amplitudes)
-        # becomes an O(tolerance / |w|) relative error amplified through
-        # the whole branch.  Zero stays an absolute snap: unifying with
-        # exact zero *drops* the branch instead of rescaling it, which
-        # costs only the snapped magnitude itself.
-        if a == 0.0 or b == 0.0:
-            return True
-        return abs(a - b) <= self.relative_tolerance * max(abs(a), abs(b))
+        self.fixed[norm] = norm
+        return norm
 
     def is_zero(self, value: complex) -> bool:
         """Whether ``value`` canonicalises to zero."""
@@ -159,9 +181,6 @@ class ComplexTable:
 
     def clear(self) -> None:
         """Drop all entries (and re-seed the standard constants)."""
-        self._buckets.clear()
-        self.hits = 0
-        self.misses = 0
         self.__init__(self.tolerance, self.relative_tolerance)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

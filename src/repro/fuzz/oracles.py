@@ -34,6 +34,8 @@ from ..core.indistinguishability import (
 from ..core.shot_executor import ShotExecutor
 from ..core.weak_sim import DD_METHODS, VECTOR_METHODS, sample_dd, simulate_and_sample
 from ..dd.approximation import ApproximationConfig
+from ..dd.normalization import NormalizationScheme
+from ..dd.reorder import ReorderConfig
 from ..exceptions import ReproError
 from ..service.__main__ import run_batch
 from ..service.api import SamplingRequest, SamplingService
@@ -95,6 +97,28 @@ APPROX_INTERVAL = 4
 #: analytic bound gets a finite-shot allowance before a divergence
 #: counts as a bug.
 APPROX_SAMPLING_SLACK = 0.1
+
+#: Reordering for the reorder and kernel oracles: a low interval and
+#: min_nodes so the dynamic trigger actually fires on the fuzzer's short
+#: circuits, not just the static layout pass.
+_REORDER = ReorderConfig(enabled=True, interval=4, min_nodes=8)
+
+#: The build variants the kernel-vs-python oracle draws from, one per
+#: circuit: every build setting that changes what the kernel does
+#: between gates, pruning at the approximation oracle's cadence.
+_KERNEL_VARIANTS = (
+    ("exact", {}),
+    (
+        f"approximation {APPROX_EPSILON}",
+        {
+            "approximation": ApproximationConfig(
+                epsilon=APPROX_EPSILON, interval=APPROX_INTERVAL
+            )
+        },
+    ),
+    ("reorder", {"reorder": _REORDER}),
+    ("leftmost", {"scheme": NormalizationScheme.LEFTMOST}),
+)
 
 #: Largest register the noisy-vs-dense oracle verifies (its reference
 #: evolves a vectorised 2^n x 2^n density matrix — O(4^n) per gate).
@@ -374,51 +398,58 @@ def _check_kernel_vs_python(
 ) -> Optional[str]:
     """The SoA kernel must match the python reference engine.
 
-    The contract is bit-identity, so the comparison is exact wherever
-    exactness is tractable: dense distributions within
+    Each circuit draws one build variant (:data:`_KERNEL_VARIANTS`;
+    measure-and-continue circuits draw only the scheme).  The contract
+    is bit-identity, so the comparison is exact wherever exactness is
+    tractable: amplitudes, level order and fidelity bound within
     :data:`MAX_EXACT_QUBITS`, equal-seed counts on measure-and-continue
     circuits (the executor collapses on identical probabilities, so the
     RNG draws coincide).  Wider unitary circuits fall back to a seeded
     two-sample chi-square between the engines' samplers.
     """
     if circuit_has_mid_circuit_measurement(circuit):
+        scheme = tuple(NormalizationScheme)[int(rng.integers(2))]
         seed = int(rng.integers(2**63))
-        vector = ShotExecutor(circuit).run(
+        vector = ShotExecutor(circuit, scheme=scheme).run(
             PER_SHOT_SAMPLE_SHOTS, seed=seed
         )
-        python = ShotExecutor(circuit, kernel="python").run(
+        python = ShotExecutor(circuit, scheme=scheme, kernel="python").run(
             PER_SHOT_SAMPLE_SHOTS, seed=seed
         )
         if vector.counts == python.counts:
             return None
         return (
-            "kernel vs python: mid-circuit counts diverged at equal seed "
-            f"({vector.distinct_outcomes} vs {python.distinct_outcomes} "
-            "outcomes)"
+            f"kernel vs python ({scheme.value}): mid-circuit counts diverged "
+            f"at equal seed ({vector.distinct_outcomes} vs "
+            f"{python.distinct_outcomes} outcomes)"
         )
+    label, settings = _KERNEL_VARIANTS[int(rng.integers(len(_KERNEL_VARIANTS)))]
+    vector = DDSimulator(**settings)
+    python = DDSimulator(kernel="python", **settings)
+    first = vector.run(circuit)
+    second = python.run(circuit)
+    for stat in ("level_to_qubit", "fidelity_bound"):
+        mine, reference = getattr(vector.stats, stat), getattr(python.stats, stat)
+        if mine != reference:
+            return f"kernel vs python ({label}): {stat} {mine} vs {reference}"
     if circuit.num_qubits <= MAX_EXACT_QUBITS:
-        return _compare_dense(
-            DDSimulator().run(circuit).probabilities(),
-            DDSimulator(kernel="python").run(circuit).probabilities(),
-            "kernel vs python",
+        amplitudes = first.to_statevector()
+        expected = second.to_statevector()
+        if np.array_equal(amplitudes, expected):
+            return None
+        worst = float(np.abs(amplitudes - expected).max())
+        return (
+            f"kernel vs python ({label}): amplitudes differ, "
+            f"max |Δ| = {worst:.3e}"
         )
-    first = sample_dd(
-        DDSimulator().run(circuit),
-        SAMPLE_SHOTS,
-        method="dd",
-        seed=rng,
+    outcome = two_sample_chi_square(
+        sample_dd(first, SAMPLE_SHOTS, method="dd", seed=rng),
+        sample_dd(second, SAMPLE_SHOTS, method="dd", seed=rng),
     )
-    second = sample_dd(
-        DDSimulator(kernel="python").run(circuit),
-        SAMPLE_SHOTS,
-        method="dd",
-        seed=rng,
-    )
-    outcome = two_sample_chi_square(first, second)
     if outcome.p_value >= P_VALUE_FLOOR:
         return None
     return (
-        f"kernel vs python: chi²={outcome.statistic:.2f} "
+        f"kernel vs python ({label}): chi²={outcome.statistic:.2f} "
         f"(dof {outcome.dof}), p={outcome.p_value:.3e}"
     )
 
@@ -518,17 +549,12 @@ def _check_reorder_vs_fixed(
     chi-square that the reordered sampler actually draws from that
     distribution.
     """
-    from ..dd.reorder import ReorderConfig
-
-    # Low interval/min_nodes so the dynamic trigger actually fires on
-    # the fuzzer's short circuits, not just the static layout pass.
-    config = ReorderConfig(enabled=True, interval=4, min_nodes=8)
     seed = int(rng.integers(2**63))
     reordered = simulate_and_sample(
-        circuit, SAMPLE_SHOTS, seed=seed, reorder=config
+        circuit, SAMPLE_SHOTS, seed=seed, reorder=_REORDER
     )
     replay = simulate_and_sample(
-        circuit, SAMPLE_SHOTS, seed=seed, reorder=config
+        circuit, SAMPLE_SHOTS, seed=seed, reorder=_REORDER
     )
     if reordered.counts != replay.counts:
         return "reordered sampling is not deterministic at equal seed"
@@ -541,7 +567,7 @@ def _check_reorder_vs_fixed(
             f"reorder vs fixed samples: chi²={outcome.statistic:.2f} "
             f"(dof {outcome.dof}), p={outcome.p_value:.3e}"
         )
-    simulator = DDSimulator(reorder=config)
+    simulator = DDSimulator(reorder=_REORDER)
     state = simulator.run(circuit)
     level_probs = state.probabilities()
     perm = simulator.stats.level_to_qubit or tuple(range(circuit.num_qubits))
@@ -834,7 +860,7 @@ ORACLES: Dict[str, Oracle] = {
         ),
         Oracle(
             name="kernel-vs-python",
-            description="exact distribution: SoA kernel vs python engine",
+            description="bit-exact: SoA kernel vs python engine, one build variant",
             pair=("dd@vector", "dd@python"),
             applies=lambda family: True,
             run=_wrap(_check_kernel_vs_python),

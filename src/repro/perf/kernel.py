@@ -26,23 +26,24 @@ structure-of-arrays working state:
 * Each strategy (diagonal, descent, decompose) is one scalar replay on
   those arrays: a memoised walk that visits the nodes the python
   applier visits, in the same order.
-* Interning goes through a front cache over the package's
-  :class:`~repro.dd.complex_table.ComplexTable`: canonical entries are
-  permanent lookup fixed points (they stay pairwise further than the
-  tolerance apart), so exact hits are cached forever; a value that snaps
-  to a different entry is never cached and is resolved against the live
-  table on every occurrence.
+* Interning probes the package's
+  :class:`~repro.dd.complex_table.ComplexTable` exact-hit index
+  (:attr:`~repro.dd.complex_table.ComplexTable.fixed`) inline and calls
+  :meth:`~repro.dd.complex_table.ComplexTable.lookup`, the one
+  implementation of the interning rule, on a miss.
 
 Anything the kernel does not cover — generic matrix-vector products,
 matrix-matrix composition, mid-circuit measurement — falls back to the
 python engine: the SoA state converts to :class:`~repro.dd.node.Edge`
 form, the reference applier runs, and the result converts back.  Each
 round trip is counted in :attr:`KernelStats.fallbacks` and surfaced as
-the ``kernel.fallbacks`` telemetry counter.
+the ``kernel.fallbacks`` telemetry counter.  Pruning and sifting rounds
+take the same round trip, in the build loop.
 
+:func:`select_engine` gives every vector-DD build the kernel.
 :class:`PythonEngine` puts the reference applier behind the same
-interface, so one build loop drives either engine, and
-:func:`select_engine` is the one place a build picks between them.
+interface; it is the bit-identity oracle, chosen only by
+``kernel="python"``.
 """
 
 from __future__ import annotations
@@ -80,82 +81,6 @@ def _same_edge(tc: int, tw: complex, c: int, w: complex) -> bool:
     if tw.imag == 0.0 and math.copysign(1.0, tw.imag) != math.copysign(1.0, w.imag):
         return False
     return True
-
-
-class _InternCache:
-    """Exact-hit front cache over a :class:`ComplexTable`.
-
-    Canonical entries never move and stay pairwise further than the
-    tolerance apart, so ``lookup(c) == c`` holds forever once observed:
-    those mappings live in :attr:`fixed` permanently (the table only
-    grows during an engine's lifetime).  A value that snaps to a
-    *different* canonical entry is deliberately **not** cached: a later
-    insert can land within tolerance of the value while sitting more
-    than tolerance from its current canonical and steal it, so snaps
-    are re-resolved against the live table on every occurrence —
-    exactly what the python engine's per-occurrence ``lookup`` does.
-
-    The slow path inlines :meth:`ComplexTable.lookup` against the
-    table's internals — same normalisation, same nine-bucket best-rank
-    scan, same ``hits``/``misses``/``version`` bookkeeping — because
-    after the front cache absorbs repeats, first-sight values are the
-    hot path of the whole scalar replay.  ``fixed`` is exposed so hot
-    call sites can probe it inline before paying for a method call.
-    """
-
-    __slots__ = ("table", "tolerance", "fixed")
-
-    def __init__(self, table):
-        self.table = table
-        self.tolerance = table.tolerance
-        self.fixed: Dict[complex, complex] = {}
-
-    def intern(self, value: complex) -> complex:
-        hit = self.fixed.get(value)
-        if hit is not None:
-            return hit
-        # Inlined replay of ComplexTable.lookup.
-        table = self.table
-        vr = value.real
-        vi = value.imag
-        if vr == 0.0:
-            vr = 0.0
-        if vi == 0.0:
-            vi = 0.0
-        norm = complex(vr, vi)
-        tol = self.tolerance
-        kr = int(math.floor(vr / tol + 0.5))
-        ki = int(math.floor(vi / tol + 0.5))
-        buckets = table._buckets
-        best = None
-        best_rank = None
-        for dr in (0, -1, 1):
-            kk = kr + dr
-            for di in (0, -1, 1):
-                cand = buckets.get((kk, ki + di))
-                if cand is None:
-                    continue
-                cr = cand.real
-                cim = cand.imag
-                if abs(cr - vr) > tol or abs(cim - vi) > tol:
-                    continue
-                rank = (abs(cand - norm), cr, cim)
-                if best_rank is None or rank < best_rank:
-                    best, best_rank = cand, rank
-        if best is not None:
-            table.hits += 1
-            if best == norm:
-                # A canonical entry is a permanent lookup fixed point.
-                # (The dict key may carry -0.0 components; equality
-                # collapses them onto the normalised result, which is
-                # what the table itself does.)
-                self.fixed[value] = best
-            return best
-        buckets[(kr, ki)] = norm
-        table.misses += 1
-        table.version += 1
-        self.fixed[value] = norm
-        return norm
 
 
 class _Level:
@@ -279,7 +204,7 @@ class KernelEngine:
         self.tolerance = package.tolerance
         self.scheme = package.scheme
         self.stats = KernelStats()
-        self._intern = _InternCache(package.complex_table)
+        self._table = package.complex_table
         self._add_cache: Dict[tuple, Tuple[int, complex]] = {}
         self.state = SoAState(num_qubits)
 
@@ -288,11 +213,15 @@ class KernelEngine:
     # ------------------------------------------------------------------
 
     def load(self, edge: Edge) -> None:
-        """Convert an :class:`Edge`-rooted DD into the working SoA state."""
-        state = self.state
+        """Replace the working SoA state with an :class:`Edge`-rooted DD.
+
+        The rows start afresh, so a round trip (a fallback, or a pruning
+        or sifting round of the build loop) leaves no garbage rows, and
+        the row-keyed addition memo goes with the old rows.
+        """
+        state = self.state = SoAState(self.num_qubits)
+        self._add_cache.clear()
         if edge.is_zero:
-            state.root = -1
-            state.root_weight = 0j
             return
         if is_terminal(edge.node):
             raise DDError("cannot load a terminal-only state into the kernel")
@@ -320,7 +249,7 @@ class KernelEngine:
                     else:
                         converted.append((rows[child.node.index], child.weight))
                 (c0, w0), (c1, w1) = converted
-                rows[node.index] = self.state.levels[node.var].intern_row(
+                rows[node.index] = state.levels[node.var].intern_row(
                     c0, w0, c1, w1
                 )
                 continue
@@ -438,12 +367,7 @@ class KernelEngine:
         session = _telemetry.active()
         if session is not None:
             session.registry.counter("kernel.fallbacks").inc()
-        edge = self.to_edge()
-        edge = self.applier.apply(edge, op)
-        self.state = SoAState(self.num_qubits)
-        self.load(edge)
-        # Row indices changed wholesale; memoised results are stale.
-        self._add_cache.clear()
+        self.load(self.applier.apply(self.to_edge(), op))
 
     # ------------------------------------------------------------------
     # Exact-replay scalar primitives
@@ -454,10 +378,10 @@ class KernelEngine:
         raw = w * factor
         if raw == 0:
             return _ZERO
-        intern_cache = self._intern
-        product = intern_cache.fixed.get(raw)
+        table = self._table
+        product = table.fixed.get(raw)
         if product is None:
-            product = intern_cache.intern(raw)
+            product = table.lookup(raw)
         if product == 0:
             return (c, raw)
         return (c, product)
@@ -472,7 +396,6 @@ class KernelEngine:
         c0, w0 = e0
         c1, w1 = e1
         tolerance = self.tolerance
-        intern = self._intern.intern
         if self.scheme is NormalizationScheme.L2:
             # Inline replay of normalize_weights(..., L2): same float
             # operation sequence, term order, and tolerance tests.
@@ -499,17 +422,18 @@ class KernelEngine:
             )
             if factor == 0:
                 return _ZERO
-        fixed_get = self._intern.fixed.get
+        table = self._table
+        fixed_get = table.fixed.get
         interned = fixed_get(factor)
-        factor = interned if interned is not None else intern(factor)
+        factor = interned if interned is not None else table.lookup(factor)
         if factor == 0:
             return _ZERO
         interned = fixed_get(n0)
-        n0 = interned if interned is not None else intern(n0)
+        n0 = interned if interned is not None else table.lookup(n0)
         if n0 == 0:
             c0 = -1
         interned = fixed_get(n1)
-        n1 = interned if interned is not None else intern(n1)
+        n1 = interned if interned is not None else table.lookup(n1)
         if n1 == 0:
             c1 = -1
         row = self.state.levels[var].intern_row(c0, n0, c1, n1)
@@ -524,14 +448,14 @@ class KernelEngine:
         """
         level = self.state.levels[var]
         entry = level.rebuild.get(row)
-        if entry is not None and entry[2] == self._intern.table.version:
+        if entry is not None and entry[2] == self._table.version:
             return (entry[0], entry[1])
         result = self._make_node(
             var,
             (level.c0[row], level.w0[row]),
             (level.c1[row], level.w1[row]),
         )
-        level.rebuild[row] = (result[0], result[1], self._intern.table.version)
+        level.rebuild[row] = (result[0], result[1], self._table.version)
         return result
 
     def _terminal_add(self, wa: complex, wb: complex) -> Tuple[int, complex]:
@@ -539,10 +463,10 @@ class KernelEngine:
         value = wa + wb
         if value == 0:
             return _ZERO
-        intern_cache = self._intern
-        interned = intern_cache.fixed.get(value)
+        table = self._table
+        interned = table.fixed.get(value)
         if interned is None:
-            interned = intern_cache.intern(value)
+            interned = table.lookup(value)
         if interned == 0:
             return (0, value)
         return (0, interned)
@@ -577,9 +501,9 @@ class KernelEngine:
         lw0 = level.w0
         lc1 = level.c1
         lw1 = level.w1
-        intern_cache = self._intern
-        fixed_get = intern_cache.fixed.get
-        intern = intern_cache.intern
+        table = self._table
+        fixed_get = table.fixed.get
+        lookup = table.lookup
         below = var - 1
         # The four child scalings, inlined (see _scale_pair): raw == 0
         # short-circuits to the zero edge, a canonical-zero snap keeps
@@ -590,7 +514,7 @@ class KernelEngine:
         else:
             product = fixed_get(raw)
             if product is None:
-                product = intern(raw)
+                product = lookup(raw)
             sa0 = (lc0[ca], raw if product == 0 else product)
         raw = lw0[cb] * wb
         if raw == 0:
@@ -598,7 +522,7 @@ class KernelEngine:
         else:
             product = fixed_get(raw)
             if product is None:
-                product = intern(raw)
+                product = lookup(raw)
             sb0 = (lc0[cb], raw if product == 0 else product)
         e0 = self._add(below, sa0, sb0)
         raw = lw1[ca] * wa
@@ -607,7 +531,7 @@ class KernelEngine:
         else:
             product = fixed_get(raw)
             if product is None:
-                product = intern(raw)
+                product = lookup(raw)
             sa1 = (lc1[ca], raw if product == 0 else product)
         raw = lw1[cb] * wb
         if raw == 0:
@@ -615,7 +539,7 @@ class KernelEngine:
         else:
             product = fixed_get(raw)
             if product is None:
-                product = intern(raw)
+                product = lookup(raw)
             sb1 = (lc1[cb], raw if product == 0 else product)
         e1 = self._add(below, sa1, sb1)
         result = self._make_node(var, e0, e1)
@@ -641,9 +565,9 @@ class KernelEngine:
         memo: List[Dict[int, Tuple[int, complex]]] = [
             {} for _ in range(state.num_qubits)
         ]
-        intern_cache = self._intern
-        fixed_get = intern_cache.fixed.get
-        intern = intern_cache.intern
+        table = self._table
+        fixed_get = table.fixed.get
+        lookup = table.lookup
         make_node = self._make_node
         rebuild_row = self._rebuild_row
         same_edge = _same_edge
@@ -660,7 +584,7 @@ class KernelEngine:
                     return _ZERO
                 product = fixed_get(raw)
                 if product is None:
-                    product = intern(raw)
+                    product = lookup(raw)
                 return (c, raw) if product == 0 else (c, product)
             cached = memo[var].get(c)
             if cached is not None:
@@ -669,7 +593,7 @@ class KernelEngine:
                     return _ZERO
                 product = fixed_get(raw)
                 if product is None:
-                    product = intern(raw)
+                    product = lookup(raw)
                 return (cached[0], raw) if product == 0 else (cached[0], product)
             level = levels[var]
             processed += 1
@@ -702,7 +626,7 @@ class KernelEngine:
                 return _ZERO
             product = fixed_get(raw)
             if product is None:
-                product = intern(raw)
+                product = lookup(raw)
             return (result[0], raw) if product == 0 else (result[0], product)
 
         state.root, state.root_weight = walk(
@@ -725,9 +649,9 @@ class KernelEngine:
         memo: List[Dict[int, Tuple[int, complex]]] = [
             {} for _ in range(state.num_qubits)
         ]
-        intern_cache = self._intern
-        fixed_get = intern_cache.fixed.get
-        intern = intern_cache.intern
+        table = self._table
+        fixed_get = table.fixed.get
+        lookup = table.lookup
         make_node = self._make_node
         rebuild_row = self._rebuild_row
         scale_pair = self._scale_pair
@@ -746,7 +670,7 @@ class KernelEngine:
                     return _ZERO
                 product = fixed_get(raw)
                 if product is None:
-                    product = intern(raw)
+                    product = lookup(raw)
                 return (cached[0], raw) if product == 0 else (cached[0], product)
             level = levels[var]
             processed += 1
@@ -792,7 +716,7 @@ class KernelEngine:
                 return _ZERO
             product = fixed_get(raw)
             if product is None:
-                product = intern(raw)
+                product = lookup(raw)
             return (result[0], raw) if product == 0 else (result[0], product)
 
         state.root, state.root_weight = walk(
@@ -888,23 +812,17 @@ class EngineError(SimulationError, ValueError):
     """An engine switch other than ``"auto"`` or ``"python"``."""
 
 
-def select_engine(scheme, kernel: str = "auto", approximation=None, reorder=None):
+def select_engine(kernel: str = "auto"):
     """The engine class a build runs on: the one engine choice.
 
-    ``kernel="auto"`` picks :class:`KernelEngine` under the L2 scheme
-    (its replay inlines L2 normalisation) when the build neither prunes
-    nor sifts (both rewrite the edge DD between gates), and
-    :class:`PythonEngine` otherwise; ``kernel="python"`` always picks
-    the reference.  Both are bit-identical, so the choice changes speed,
-    never an answer.  Raises :class:`EngineError` for any other value.
+    ``kernel="auto"`` picks :class:`KernelEngine` for every vector-DD
+    build, whatever its scheme, approximation or reordering;
+    ``kernel="python"`` picks the reference.  Both are bit-identical, so
+    the choice changes speed, never an answer.  Raises
+    :class:`EngineError` for any other value.
     """
-    if kernel not in ("auto", "python"):
-        raise EngineError(f"unknown kernel {kernel!r}; expected 'auto' or 'python'")
-    if (
-        kernel == "auto"
-        and scheme is NormalizationScheme.L2
-        and approximation is None
-        and reorder is None
-    ):
+    if kernel == "auto":
         return KernelEngine
-    return PythonEngine
+    if kernel == "python":
+        return PythonEngine
+    raise EngineError(f"unknown kernel {kernel!r}; expected 'auto' or 'python'")

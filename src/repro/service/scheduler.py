@@ -527,8 +527,8 @@ class BuildScheduler:
         ``key`` is the ε-specific cache key — deliberately different
         from the exact request key, so the API layer must hot-cache it
         under ``outcome.key`` and the artifact store never cross-serves
-        the two.  The rung builds without reordering, so it runs on the
-        python engine like every approximate build.
+        the two.  The rung builds without reordering and, like every
+        vector-DD build, on the SoA kernel.
         """
         from .keys import spec_key
 

@@ -5,9 +5,9 @@ DD, then sampling — and six settings decide what its strong
 simulation produces: ``scheme``, ``optimize``, ``initial_state``,
 ``approximation``, ``reorder`` and ``noise``.
 :class:`BuildSpec` holds them.  (Which engine runs the build is not a
-setting: the build picks it with
-:func:`repro.perf.kernel.select_engine`, and both engines give the same
-answer.)  Each entry point (``simulate_and_sample``,
+setting: every vector-DD build runs on the SoA kernel
+(:func:`repro.perf.kernel.select_engine`), and the python reference
+gives the same answer.)  Each entry point (``simulate_and_sample``,
 ``repro-sample``, the sampling service, ``cache_key``, the simulators)
 builds one with :meth:`BuildSpec.of` and hands it down unchanged, and
 the spec owns the three decisions every layer used to make on its own:

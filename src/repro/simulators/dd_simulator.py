@@ -68,13 +68,15 @@ class DDSimulator(StrongSimulator):
     ``apply`` spans, periodic DD/RSS probes) and the run's counters are
     absorbed into the session's metrics registry.
 
-    The build picks its engine (:func:`repro.perf.kernel.select_engine`):
-    the structure-of-arrays kernel under the L2 scheme when the build
-    neither approximates nor reorders, the python reference otherwise.
-    Both are bit-identical — same final DD weights, same compiled
-    arrays, same samples at equal seed — and one loop drives either.
-    ``kernel="python"`` forces the reference (the bit-identity tests and
-    the bench's python column use it); ``"auto"`` is the default.
+    Every build runs on the structure-of-arrays kernel
+    (:func:`repro.perf.kernel.select_engine`), whatever its scheme,
+    approximation or reordering: pruning and sifting rounds convert the
+    working state to an edge DD and back.  ``kernel="python"`` forces
+    the python reference instead (the bit-identity tests, the
+    ``kernel-vs-python`` fuzz oracle and the bench's python column use
+    it); ``"auto"`` is the default.  Both are bit-identical — same final
+    DD weights, same compiled arrays, same samples at equal seed — and
+    one loop drives either.
     """
 
     def __init__(
@@ -129,9 +131,7 @@ class DDSimulator(StrongSimulator):
         #: rounds with gate application (``dynamic``), recording the
         #: final level-to-qubit permutation in :attr:`stats`.
         self.reorder = spec.reorder
-        self._engine = select_engine(
-            self.package.scheme, kernel, self.approximation, self.reorder
-        )
+        self._engine = select_engine(kernel)
         self._stats = SimulationStats()
 
     @property
@@ -406,18 +406,3 @@ class DDSimulator(StrongSimulator):
             edge = package.scale(edge, 1.0 / math.sqrt(norm_sq))
         self._stats.final_dd_nodes = package.node_count(edge)
         return VectorDD(package, edge, init.num_qubits)
-
-    def run_from_dd(self, circuit: QuantumCircuit, state: VectorDD) -> VectorDD:
-        """Continue simulation from an existing DD state."""
-        applier = GateApplier(
-            self.package, circuit.num_qubits, use_fast_paths=self.use_fast_paths
-        )
-        edge = state.edge
-        self._stats = SimulationStats(num_qubits=circuit.num_qubits)
-        for op in circuit.operations:
-            edge = applier.apply(edge, op)
-            self._stats.applied_operations += 1
-        self._stats.strategy_counts = applier.strategy_counts()
-        self._stats.diagonal_term_applications = applier.diagonal_term_applications
-        self._stats.final_dd_nodes = self.package.node_count(edge)
-        return VectorDD(self.package, edge, circuit.num_qubits)

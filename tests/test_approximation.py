@@ -286,9 +286,9 @@ class TestSimulatorIntegration:
             state.probabilities(), reference.probabilities(), atol=1e-12
         )
 
-    def test_auto_kernel_coerces_to_python(self):
+    def test_auto_kernel_runs_the_kernel(self):
         simulator = DDSimulator(kernel="auto", approximation=0.05)
-        assert simulator.resolved_kernel() == "python"
+        assert simulator.resolved_kernel() == "vector"
 
     def test_node_limit_aborts_exact_build(self):
         with pytest.raises(MemoryError):

@@ -132,3 +132,35 @@ def test_clear_keeps_the_relative_guard():
     assert table.relative_tolerance == 1e-12
     first = table.lookup(5e-11 + 0j)
     assert table.lookup(5e-11 + 5e-15 + 0j) != first
+
+
+def test_relative_guard_miss_evicts_from_the_exact_hit_index():
+    # A relative-guard miss can land in an occupied home bucket and
+    # overwrite its entry.  The evicted value must leave `fixed` too:
+    # a caller probing the index first would otherwise still get it
+    # back, while lookup no longer does.
+    table = ComplexTable(tolerance=1e-10, relative_tolerance=1e-12)
+    first = table.lookup(3e-10 + 0j)
+    assert table.fixed[first] == first
+    size = len(table)
+    second = table.lookup(3e-10 + 1e-12 + 0j)  # same bucket, guard refuses
+    assert second != first
+    assert len(table) == size  # overwritten, not added
+    assert first not in table.fixed
+    assert table.fixed[second] == second
+    # Looked up again, the evicted value re-enters and evicts in turn.
+    assert table.lookup(first) == first
+    assert second not in table.fixed
+    # Whatever the index still holds, lookup agrees with.
+    for value, canonical in list(table.fixed.items()):
+        assert table.lookup(value) == canonical
+
+
+def test_seeded_constants_are_indexed():
+    table = ComplexTable()
+    for value in (0j, 1 + 0j, -1j, complex(math.sqrt(0.5), 0.0)):
+        assert table.fixed[value] == value
+    table.lookup(0.777 + 0j)
+    table.clear()
+    assert 0.777 + 0j not in table.fixed
+    assert table.fixed[1 + 0j] == 1

@@ -8,6 +8,7 @@ Edge ⇄ SoA conversions are lossless and the executor surfaces every
 forced measurement-boundary round trip as a kernel fallback.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -20,9 +21,13 @@ from repro.core.dd_sampler import DDSampler
 from repro.core.shot_executor import ShotExecutor
 from repro.dd import NormalizationScheme
 from repro.dd.apply import GateApplier
+from repro.dd.approximation import ApproximationConfig
 from repro.dd.complex_table import ComplexTable
+from repro.dd.node import is_terminal
 from repro.dd.package import DDPackage
+from repro.dd.reorder import ReorderConfig
 from repro.exceptions import DDError, SimulationError
+from repro.perf.bench import dusty_ghz
 from repro.perf.kernel import KernelEngine
 from repro.simulators import DDSimulator
 from repro.telemetry import Telemetry
@@ -31,6 +36,35 @@ from repro.telemetry import Telemetry
 def _engine(package: DDPackage, num_qubits: int, **kwargs) -> KernelEngine:
     applier = GateApplier(package, num_qubits)
     return KernelEngine(package, num_qubits, applier, **kwargs)
+
+
+def _weights(state) -> list:
+    """Every edge weight of a DD, root first, in first-visit order."""
+    weights = [state.edge.weight]
+    seen = set()
+    stack = [state.edge.node]
+    while stack:
+        node = stack.pop()
+        if is_terminal(node) or node.index in seen:
+            continue
+        seen.add(node.index)
+        for child in node.edges:
+            weights.append((node.var, child.weight))
+            stack.append(child.node)
+    return weights
+
+
+def _ry_ladder(seed: int) -> QuantumCircuit:
+    """Six layers of ``ry(0.7 + k * 1e-11)`` plus a ``cx`` ladder: angles
+    a relative-guard table tells apart and an absolute one unifies."""
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(4)
+    for _ in range(6):
+        for qubit in range(4):
+            circuit.ry(0.7 + int(rng.integers(100)) * 1e-11, qubit)
+        for qubit in range(3):
+            circuit.cx(qubit, qubit + 1)
+    return circuit
 
 
 def _build_edge(circuit: QuantumCircuit, package: DDPackage):
@@ -131,18 +165,68 @@ class TestBitIdentity:
         )
         assert np.array_equal(drawn_v, drawn_p)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_relative_guard_table_bit_identical(self, seed):
+        # The kernel interns through the table's own lookup, relative
+        # guard included, and never serves a value the table evicted.
+        circuit = _ry_ladder(seed)
+        states = {}
+        for kernel in ("auto", "python"):
+            package = DDPackage(relative_tolerance=1e-12)
+            states[kernel] = DDSimulator(package=package, kernel=kernel).run(circuit)
+        assert _weights(states["auto"]) == _weights(states["python"])
+        compiled = {
+            kernel: DDSampler(state).compiled().to_arrays()
+            for kernel, state in states.items()
+        }
+        for name, array in compiled["python"].items():
+            assert np.array_equal(compiled["auto"][name], array), name
+
+    FEATURE_BUILDS = {
+        "approximate": {"approximation": ApproximationConfig(0.05, interval=4)},
+        "reordered": {
+            "reorder": ReorderConfig(enabled=True, interval=4, min_nodes=2)
+        },
+        "leftmost": {"scheme": NormalizationScheme.LEFTMOST},
+    }
+
+    @pytest.mark.parametrize(
+        "settings", FEATURE_BUILDS.values(), ids=FEATURE_BUILDS.keys()
+    )
+    def test_feature_builds_bit_identical(self, settings):
+        # Pruning and sifting round-trip the SoA state through the edge
+        # form; LEFTMOST replays normalize_weights.  None moves a bit.
+        for circuit in (dusty_ghz(6, 4), random_circuit(6, 60, seed=5), qft(5)):
+            vector = DDSimulator(**settings)
+            python = DDSimulator(kernel="python", **settings)
+            state = vector.run(circuit)
+            reference = python.run(circuit)
+            assert vector.stats.kernel == "vector"
+            assert _weights(state) == _weights(reference)
+            for field in (
+                "strategy_counts",
+                "level_to_qubit",
+                "reorder_swaps_kept",
+                "fidelity_bound",
+                "approx_removed_edges",
+            ):
+                assert getattr(vector.stats, field) == getattr(
+                    python.stats, field
+                ), field
+
 
 class TestKernelSelection:
     """The one engine choice, made alike by DDSimulator and ShotExecutor."""
 
-    L2_CASES = [
+    CASES = [
         ({}, "vector"),
         ({"kernel": "python"}, "python"),
     ]
-    DD_ONLY_CASES = [
-        ({"approximation": 0.05}, "python"),
-        ({"reorder": True}, "python"),
-        ({"approximation": 0.05, "kernel": "python"}, "python"),
+    DD_ONLY_SETTINGS = [
+        {},
+        {"approximation": 0.05},
+        {"reorder": True},
+        {"approximation": 0.05, "reorder": True},
     ]
 
     @staticmethod
@@ -151,22 +235,22 @@ class TestKernelSelection:
         return "vector" if executor.stats["kernel_segments"] else "python"
 
     def test_auto_resolves_by_scheme(self):
-        # L2 picks the SoA kernel; LEFTMOST, approximation, reordering
-        # and the python switch pick the reference.
-        for settings, engine in self.L2_CASES + self.DD_ONLY_CASES:
-            assert DDSimulator(**settings).resolved_kernel() == engine
-            leftmost = DDSimulator(scheme=NormalizationScheme.LEFTMOST, **settings)
-            assert leftmost.resolved_kernel() == "python"
+        # Every scheme, approximate or not, reordered or not, runs on the
+        # SoA kernel; only the python switch picks the reference.
+        for scheme in NormalizationScheme:
+            for settings in self.DD_ONLY_SETTINGS:
+                for switch, engine in self.CASES:
+                    simulator = DDSimulator(scheme=scheme, **settings, **switch)
+                    assert simulator.resolved_kernel() == engine
+                    simulator.run(dusty_ghz(5, 3))
+                    assert simulator.stats.kernel == engine
 
     def test_executor_makes_the_same_choice(self):
         circuit = TestExecutorFallbacks._mid_circuit()
-        for settings, engine in self.L2_CASES:
-            executor = ShotExecutor(circuit, **settings)
-            assert self._executor_engine(executor) == engine
-            leftmost = ShotExecutor(
-                circuit, scheme=NormalizationScheme.LEFTMOST, **settings
-            )
-            assert self._executor_engine(leftmost) == "python"
+        for scheme in NormalizationScheme:
+            for settings, engine in self.CASES:
+                executor = ShotExecutor(circuit, scheme=scheme, **settings)
+                assert self._executor_engine(executor) == engine
 
     def test_unknown_kernel_rejected(self):
         # "auto" and "python" are the only switches left.
@@ -297,37 +381,38 @@ class TestExecutorFallbacks:
 
 
 class TestSnapRestealing:
+    """The kernel probes ``ComplexTable.fixed`` before ``lookup``, so the
+    index must hold exactly the values a lookup resolves to themselves."""
+
     def test_snapped_value_is_not_cached_across_inserts(self):
         # Regression: a value that *snaps* must be re-resolved against
         # the live table on every occurrence.  Canonical entries only
         # appear over time, and a later insert can sit closer to the
-        # value than its previous snap target — caching the first
+        # value than its previous snap target — indexing the first
         # resolution would freeze the wrong answer.
-        from repro.perf.kernel import _InternCache
-
         table = ComplexTable()
         tol = table.tolerance
-        cache = _InternCache(table)
-        table.lookup(0.0)  # canonical zero
         probe = complex(0.95 * tol, 0.0)
-        assert cache.intern(probe) == table.lookup(probe) == 0.0
+        assert table.lookup(probe) == 0.0
+        assert probe not in table.fixed
         stealer = complex(1.8 * tol, 0.0)  # > tol from 0: new canonical
-        assert cache.intern(stealer) == stealer
+        assert table.lookup(stealer) == stealer
         # The new canonical is within 0.85*tol of the probe — closer
-        # than zero — so both the table and the cache must now re-snap.
+        # than zero — so the probe must now re-snap, still unindexed.
         assert table.lookup(probe) == stealer
-        assert cache.intern(probe) == stealer
+        assert probe not in table.fixed
+        assert table.fixed[stealer] == stealer
 
     def test_canonical_fixed_points_are_cached(self):
-        from repro.perf.kernel import _InternCache
-
         table = ComplexTable()
-        cache = _InternCache(table)
         value = complex(0.25, -0.5)
-        first = cache.intern(value)
-        assert first == value
-        assert cache.fixed[value] == value
-        assert cache.intern(value) == table.lookup(value)
+        assert table.lookup(value) == value
+        assert table.fixed[value] == value
+        assert table.lookup(value) == value
+        # A -0.0 component keys the same entry and reads back as +0.0.
+        signed = table.lookup(complex(-0.0, 0.3))
+        assert math.copysign(1.0, table.fixed[complex(0.0, 0.3)].real) == 1.0
+        assert table.fixed[complex(-0.0, 0.3)] == signed
 
 
 BELL_QASM = """OPENQASM 2.0;

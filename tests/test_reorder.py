@@ -307,9 +307,9 @@ class TestLayout:
 
 
 class TestSimulatorIntegration:
-    def test_auto_kernel_coerces_to_python(self):
+    def test_auto_kernel_runs_the_kernel(self):
         simulator = DDSimulator(reorder=ReorderConfig(enabled=True))
-        assert simulator.resolved_kernel() == "python"
+        assert simulator.resolved_kernel() == "vector"
 
     def test_disabled_config_is_normalised_to_none(self):
         assert DDSimulator(reorder=ReorderConfig()).reorder is None

@@ -101,18 +101,6 @@ class TestDDSimulator:
         simulator.run(circuit)
         assert simulator.stats.peak_dd_nodes >= simulator.stats.final_dd_nodes
 
-    def test_run_from_dd(self):
-        first = QuantumCircuit(2)
-        first.h(1)
-        second = QuantumCircuit(2)
-        second.cx(1, 0)
-        simulator = DDSimulator()
-        state = simulator.run(first)
-        state = simulator.run_from_dd(second, state)
-        expected = np.zeros(4, dtype=complex)
-        expected[0] = expected[3] = 1 / np.sqrt(2)
-        assert np.allclose(state.to_statevector(), expected, atol=1e-10)
-
     def test_auto_compact_keeps_state_correct(self):
         circuit = random_circuit(4, 200, seed=31)
         reference = DDSimulator(auto_compact_threshold=0).run(circuit)
