@@ -286,34 +286,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{result.shots} shots via {args.method!r} in {elapsed:.3f} s"
         f"{cache_note}"
     )
-    if spec.approximation is not None:
-        approx_meta = (result.metadata.get("build") or {}).get("approximation")
-        if approx_meta is None:
-            approx_meta = (result.metadata.get("service") or {}).get(
-                "approximation"
-            )
-        if approx_meta:
-            print(
-                f"approximation: fidelity >= {approx_meta['fidelity_bound']:.6f} "
-                f"(epsilon budget {spec.approximation.epsilon}, "
-                f"{approx_meta['rounds']} pruning rounds, "
-                f"{approx_meta['removed_edges']} edges removed)"
-            )
-    if spec.reorder is not None:
-        reorder_meta = (result.metadata.get("build") or {}).get("reorder")
-        if reorder_meta is None:
-            reorder_meta = (result.metadata.get("service") or {}).get("reorder")
-        if reorder_meta:
-            print(
-                f"reorder: level_to_qubit={reorder_meta['level_to_qubit']} "
-                f"({reorder_meta['rounds']} sifting rounds, "
-                f"{reorder_meta['swaps_kept']} swaps kept; samples reported "
-                "in original qubit order)"
-            )
+    # One record on every surface: the build record, cached or not.
+    build = result.metadata.get("build") or {}
+    approx_meta = build.get("approximation")
+    if spec.approximation is not None and approx_meta:
+        print(
+            f"approximation: fidelity >= {approx_meta['fidelity_bound']:.6f} "
+            f"(epsilon budget {spec.approximation.epsilon}, "
+            f"{approx_meta['rounds']} pruning rounds, "
+            f"{approx_meta['removed_edges']} edges removed)"
+        )
+    reorder_meta = build.get("reorder")
+    if reorder_meta:
+        print(
+            f"reorder: level_to_qubit={reorder_meta['level_to_qubit']} "
+            f"({reorder_meta['rounds']} sifting rounds, "
+            f"{reorder_meta['swaps_kept']} swaps kept; samples reported "
+            "in original qubit order)"
+        )
     if spec.noise is not None:
-        noise_meta = (result.metadata.get("build") or {}).get("noise")
-        if noise_meta is None:
-            noise_meta = (result.metadata.get("service") or {}).get("noise")
+        noise_meta = build.get("noise")
         line = f"noise: {spec.noise.describe()}"
         if noise_meta:
             line += (
@@ -335,7 +327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"sampling: {result.sampling_seconds:.4f} s, "
             f"distinct outcomes: {result.distinct_outcomes}"
         )
-        build = result.metadata.get("build")
         if build:
             compile_info = build.get("compile") or {}
             line = f"build: {build['applied_operations']} operations applied"
@@ -357,12 +348,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"strategies: {rendered}, "
                     f"diagonal terms={build['diagonal_term_applications']}"
                 )
-            for pass_name, counters in (compile_info.get("passes") or {}).items():
+            # Sorted: a record read back from the store has sorted keys.
+            for pass_name, counters in sorted(
+                (compile_info.get("passes") or {}).items()
+            ):
                 rendered = ", ".join(
                     f"{k}={v}" for k, v in sorted(counters.items())
                 )
                 print(f"optimizer {pass_name}: {rendered}")
-        dd_stats = result.metadata.get("dd_statistics")
+        dd_stats = build.get("dd_tables") or result.metadata.get("dd_statistics")
         if dd_stats:
             rendered = ", ".join(f"{k}={v}" for k, v in sorted(dd_stats.items()))
             print(f"dd tables: {rendered}")

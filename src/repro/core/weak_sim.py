@@ -5,6 +5,14 @@ strong simulation (dense or DD) followed by output sampling with the
 chosen back-end.  :func:`sample_statevector` and :func:`sample_dd` are the
 second stage alone, for callers that already hold a final state.
 
+Every ``method="dd"`` answer, noisy or not, is drawn from one artifact:
+:func:`build_artifact` runs the strong simulation and flattens the final
+state (or, with noise, ρ's diagonal) into a
+:class:`~repro.perf.compiled_dd.CompiledDD` plus its build record, and
+:func:`sample_artifact` draws from it.  The library and the sampling
+service (:mod:`repro.service`) both go through these two functions, so
+a cached artifact samples exactly like a fresh one.
+
 Methods (``method=`` argument):
 
 ========================  ====================================================
@@ -22,7 +30,7 @@ Methods (``method=`` argument):
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,11 +38,19 @@ from .. import telemetry as _telemetry
 from ..circuit.circuit import QuantumCircuit
 from ..dd.approximation import ApproximationConfig
 from ..dd.normalization import NormalizationScheme
-from ..dd.reorder import ReorderConfig, is_identity_permutation, unpermute_counts
+from ..dd.reorder import (
+    ReorderConfig,
+    is_identity_permutation,
+    unpermute_counts,
+    unpermute_samples,
+)
 from ..dd.vector_dd import VectorDD
 from ..exceptions import SamplingError
 from ..noise.model import NoiseModel
 from ..perf import compiled_dd as _compiled_dd
+from ..perf.compiled_dd import CompiledDD
+from ..perf.parallel import DEFAULT_CHUNK_SHOTS, sample_chunked
+from ..simulators.base import SimulationStats
 from ..simulators.build_spec import DD_METHODS, VECTOR_METHODS, BuildSpec
 from ..simulators.dd_simulator import DDSimulator
 from ..simulators.density_simulator import (
@@ -55,6 +71,8 @@ __all__ = [
     "VECTOR_METHODS",
     "DD_METHODS",
     "simulate_and_sample",
+    "build_artifact",
+    "sample_artifact",
     "sample_statevector",
     "sample_dd",
 ]
@@ -177,7 +195,7 @@ def sample_dd(
     return result
 
 
-def _build_metadata(stats) -> dict:
+def _build_metadata(stats: SimulationStats) -> dict:
     """Build-phase diagnostics attached to every result (CLI ``--stats``)."""
     metadata = {
         "applied_operations": stats.applied_operations,
@@ -189,14 +207,14 @@ def _build_metadata(stats) -> dict:
         metadata["kernel"] = stats.kernel
         metadata["kernel_fallbacks"] = stats.kernel_fallbacks
         metadata["kernel_levels"] = stats.kernel_levels
-    if getattr(stats, "fidelity_bound", None) is not None:
+    if stats.fidelity_bound is not None:
         metadata["approximation"] = {
             "rounds": stats.approx_rounds,
             "removed_edges": stats.approx_removed_edges,
             "removed_mass": stats.approx_removed_mass,
             "fidelity_bound": stats.fidelity_bound,
         }
-    if getattr(stats, "level_to_qubit", None) is not None:
+    if stats.level_to_qubit is not None:
         metadata["reorder"] = {
             "level_to_qubit": list(stats.level_to_qubit),
             "rounds": stats.reorder_rounds,
@@ -206,50 +224,107 @@ def _build_metadata(stats) -> dict:
     return metadata
 
 
-def _simulate_noisy(
-    circuit: QuantumCircuit,
-    shots: int,
-    spec: BuildSpec,
-    seed: Union[int, np.random.Generator, None],
-) -> SampleResult:
-    """The noisy pipeline: density build → diagonal → compiled sampling.
+def _simulator(spec: BuildSpec, node_limit: Optional[int] = None):
+    """The strong simulator of a DD route: the density one when noisy."""
+    if spec.noise is not None:
+        return DensityMatrixSimulator(noise=spec.noise, node_limit=node_limit)
+    return DDSimulator(
+        scheme=spec.scheme,
+        optimize=spec.optimize,
+        approximation=spec.approximation,
+        node_limit=node_limit,
+        reorder=spec.reorder,
+    )
 
-    Called with an already-active telemetry session and a checked spec
-    whose ``noise`` is enabled.  The compile pipeline is bypassed (noise
-    binds to the circuit as written — see
-    :mod:`repro.simulators.density_simulator`), so there is no
-    ``optimize``/``workers`` surface here.
+
+def build_artifact(
+    circuit: QuantumCircuit,
+    spec: BuildSpec = BuildSpec(),
+    node_limit: Optional[int] = None,
+) -> Tuple[CompiledDD, Dict[str, Any]]:
+    """Strong simulation into the served sampling artifact and its record.
+
+    Runs :class:`~repro.simulators.dd_simulator.DDSimulator`, or
+    :class:`~repro.simulators.density_simulator.DensityMatrixSimulator`
+    when ``spec.noise`` is set (``node_limit`` is their mid-build node
+    ceiling), then flattens the final state — with noise, ρ's diagonal
+    with readout folded in — under the ``precompute`` span.  Returns the
+    :class:`~repro.perf.compiled_dd.CompiledDD` and its build record:
+    the :func:`_build_metadata` diagnostics, the ``noise`` block, the DD
+    table counters (``dd_tables``) and the provenance ``num_qubits``,
+    ``dd_nodes``, ``compiled_size``, ``scheme``, ``optimize``,
+    ``initial_state``, ``circuit_name`` and ``engine``.
+
+    The record is plain JSON data: the artifact store keeps it as the
+    artifact's ``meta``, and every result drawn from the artifact
+    carries it as ``metadata["build"]``.  A reordered artifact samples
+    in level space; :func:`sample_artifact` moves its draws back through
+    ``record["reorder"]["level_to_qubit"]``.
+    """
+    simulator = _simulator(spec, node_limit)
+    state = simulator.run(circuit, initial_state=spec.initial_state)
+    noise = spec.noise
+    with _telemetry.span("precompute", method="dd") as precompute_span:
+        if noise is not None:
+            precompute_span.set_attr("noisy", True)
+            compiled = compile_noisy_sampler(state, noise)
+        else:
+            compiled = DDSampler(state).compiled()
+        dd_nodes = state.node_count
+        precompute_span.set_attr("dd_nodes", dd_nodes)
+    stats = simulator.stats
+    record = _build_metadata(stats)
+    if noise is not None:
+        record["noise"] = {
+            "model": noise.to_dict(),
+            "channel_applications": stats.noise_channel_applications,
+            "kraus_applications": stats.noise_kraus_applications,
+        }
+    record.update(
+        dd_tables=state.package.stats(),
+        num_qubits=circuit.num_qubits,
+        dd_nodes=dd_nodes,
+        compiled_size=compiled.size,
+        scheme=spec.scheme.value,
+        optimize=spec.optimize,
+        initial_state=spec.initial_state,
+        circuit_name=circuit.name,
+        engine=stats.kernel,
+    )
+    return compiled, record
+
+
+def sample_artifact(
+    compiled: CompiledDD,
+    meta: Dict[str, Any],
+    shots: int,
+    rng: np.random.Generator,
+    workers: Optional[int] = None,
+) -> SampleResult:
+    """Draw ``shots`` from a built artifact, in original qubit order.
+
+    ``meta`` is the artifact's build record (:func:`build_artifact`).
+    ``workers`` draws the shots in fixed-size chunks with per-chunk seed
+    streams, reproducible for a given seed at any worker count, on a
+    thread pool when ``workers > 1``.  A reordered artifact's draws are
+    moved back through ``meta["reorder"]["level_to_qubit"]``.
     """
     if shots < 0:
         raise SamplingError(f"shots must be non-negative, got {shots}")
-    noise = spec.noise
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    simulator = DensityMatrixSimulator(noise=noise)
-    rho = simulator.run(circuit, initial_state=spec.initial_state)
-    start = time.perf_counter()
-    with _telemetry.span("precompute", method="dd", noisy=True) as precompute_span:
-        compiled = compile_noisy_sampler(rho, noise)
-        precompute_span.set_attr("dd_nodes", rho.node_count)
-    precompute = time.perf_counter() - start
-    start = time.perf_counter()
-    with _telemetry.span("sampling", method="dd", shots=shots):
+    if workers is None:
         samples = compiled.sample(shots, rng)
-    sampling = time.perf_counter() - start
-    result = SampleResult.from_samples(circuit.num_qubits, samples, method="dd")
-    result.precompute_seconds = precompute
-    result.sampling_seconds = sampling
-    result.metadata["dd_statistics"] = rho.package.stats()
-    result.metadata["build"] = _build_metadata(simulator.stats)
-    result.metadata["build"]["noise"] = {
-        "model": noise.to_dict(),
-        "channel_applications": simulator.stats.noise_channel_applications,
-        "kraus_applications": simulator.stats.noise_kraus_applications,
-    }
-    session = _telemetry.active()
-    if session is not None:
-        session.registry.record_dd_tables(result.metadata["dd_statistics"])
-        session.registry.counter("sample.shots").inc(shots)
-    return result
+    else:
+        samples = sample_chunked(
+            compiled.sample,
+            shots,
+            rng,
+            workers=workers,
+            chunk_shots=DEFAULT_CHUNK_SHOTS,
+        )
+    level_to_qubit = (meta.get("reorder") or {}).get("level_to_qubit")
+    if level_to_qubit is not None and not is_identity_permutation(level_to_qubit):
+        samples = unpermute_samples(samples, level_to_qubit)
+    return SampleResult.from_samples(compiled.num_qubits, samples, method="dd")
 
 
 def simulate_and_sample(
@@ -297,7 +372,10 @@ def simulate_and_sample(
     ``metadata["build"]["noise"]`` records the model (see
     ``docs/noise.md``).  A disabled model (all strengths zero) is
     normalised away, so the run is bit-identical to the exact pure-state
-    path at equal seed.
+    path at equal seed.  ``method="dd"`` (noisy or not) runs
+    :func:`build_artifact` then :func:`sample_artifact`, as the sampling
+    service does: ``metadata["build"]`` is the artifact's build record,
+    and ``precompute_seconds`` covers the build and the flattening.
 
     :meth:`BuildSpec.route <repro.simulators.build_spec.BuildSpec.route>`
     picks the path, as it does for every surface: a circuit with a
@@ -314,8 +392,6 @@ def simulate_and_sample(
     spec = BuildSpec.of(scheme, optimize, initial_state, approximation, reorder, noise)
     path = spec.route(circuit, method, workers)
     with _telemetry.activate(telemetry):
-        if path == "density":
-            return _simulate_noisy(circuit, shots, spec, seed)
         if path == "shot-executor":
             return ShotExecutor(
                 circuit, spec.scheme, spec.optimize, initial_state=spec.initial_state
@@ -328,21 +404,37 @@ def simulate_and_sample(
             result = sample_statevector(statevector, shots, method=method, seed=seed)
             result.metadata["build"] = _build_metadata(simulator.stats)
             return result
-        dd_simulator = DDSimulator(
-            scheme=spec.scheme,
-            optimize=spec.optimize,
-            approximation=spec.approximation,
-            reorder=spec.reorder,
-        )
-        state = dd_simulator.run(circuit, initial_state=spec.initial_state)
-        result = sample_dd(state, shots, method=method, seed=seed, workers=workers)
-        level_to_qubit = dd_simulator.stats.level_to_qubit
-        if level_to_qubit is not None and not is_identity_permutation(
-            level_to_qubit
-        ):
-            # Samples were drawn in level space; re-key the counts back
-            # to original qubit order (a bijection on basis indices, so
-            # the shot total is preserved exactly).
-            result.counts = unpermute_counts(result.counts, level_to_qubit)
-        result.metadata["build"] = _build_metadata(dd_simulator.stats)
+        if method != "dd":
+            # dd-path, dd-multinomial and dd-collapse walk the live DD.
+            dd_simulator = _simulator(spec)
+            state = dd_simulator.run(circuit, initial_state=spec.initial_state)
+            result = sample_dd(state, shots, method=method, seed=seed)
+            level_to_qubit = dd_simulator.stats.level_to_qubit
+            if level_to_qubit is not None and not is_identity_permutation(
+                level_to_qubit
+            ):
+                # Samples were drawn in level space; re-key the counts back
+                # to original qubit order (a bijection on basis indices, so
+                # the shot total is preserved exactly).
+                result.counts = unpermute_counts(result.counts, level_to_qubit)
+            result.metadata["build"] = _build_metadata(dd_simulator.stats)
+            return result
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        start = time.perf_counter()
+        compiled, build = build_artifact(circuit, spec)
+        precompute = time.perf_counter() - start
+        start = time.perf_counter()
+        with _telemetry.span("sampling", method=method, shots=shots):
+            result = sample_artifact(compiled, build, shots, rng, workers)
+        result.sampling_seconds = time.perf_counter() - start
+        result.precompute_seconds = precompute
+        result.metadata["build"] = build
+        result.metadata["compiled_cache"] = _compiled_dd.DEFAULT_CACHE.stats()
+        if workers is not None:
+            result.metadata["workers"] = workers
+        session = _telemetry.active()
+        if session is not None:
+            session.registry.record_dd_tables(build["dd_tables"])
+            session.registry.record_compiled_cache(result.metadata["compiled_cache"])
+            session.registry.counter("sample.shots").inc(shots)
         return result

@@ -32,13 +32,20 @@ from ..core.indistinguishability import (
     two_sample_chi_square,
 )
 from ..core.shot_executor import ShotExecutor
-from ..core.weak_sim import DD_METHODS, VECTOR_METHODS, sample_dd, simulate_and_sample
+from ..core.weak_sim import (
+    DD_METHODS,
+    VECTOR_METHODS,
+    build_artifact,
+    sample_dd,
+    simulate_and_sample,
+)
 from ..dd.approximation import ApproximationConfig
 from ..dd.normalization import NormalizationScheme
 from ..dd.reorder import ReorderConfig
 from ..exceptions import ReproError
 from ..service.__main__ import run_batch
 from ..service.api import SamplingRequest, SamplingService
+from ..simulators.build_spec import BuildSpec
 from ..simulators.dd_simulator import DDSimulator
 from ..simulators.stabilizer import StabilizerSimulator
 from ..simulators.statevector import StatevectorSimulator
@@ -616,10 +623,6 @@ def _check_noisy_vs_dense(
     prefix op still exercises the channel-placement contract.
     """
     from ..noise import NoiseModel, noisy_probabilities_dense
-    from ..simulators.density_simulator import (
-        DensityMatrixSimulator,
-        compile_noisy_sampler,
-    )
 
     cap = (
         NOISE_MAX_OPERATIONS
@@ -648,12 +651,11 @@ def _check_noisy_vs_dense(
         readout_p10=float(rng.uniform(0.0, 0.04)),
     )
     try:
-        rho = DensityMatrixSimulator(
-            noise=noise, node_limit=NOISE_NODE_LIMIT
-        ).run(circuit)
+        compiled, _ = build_artifact(
+            circuit, BuildSpec.of(noise=noise), node_limit=NOISE_NODE_LIMIT
+        )
     except MemoryError:
         return None
-    compiled = compile_noisy_sampler(rho, noise)
     reference = noisy_probabilities_dense(circuit, noise)
     detail = _compare_dense(
         compiled.probabilities(),
@@ -740,7 +742,11 @@ def _check_surfaces_agree(
     ``run_batch`` (replaying the same records on the warm service) each
     serve the default request and one drawn variant
     (:func:`_surface_variant`) at equal seed.  Either all three accept
-    with equal counts, or all three refuse with the same message.
+    with equal counts, or all three refuse with the same message.  An
+    accepted request must also be served from the same artifact: the
+    library's and the service's ``metadata["build"]`` agree on the
+    fidelity bound and ``level_to_qubit`` (:func:`_build_facts`), and so
+    do both responses' ``fidelity_bound``.
     """
     if circuit.num_qubits > 6:
         circuit = _prefix(circuit, SURFACE_WIDE_MAX_OPERATIONS)
@@ -760,24 +766,21 @@ def _check_surfaces_agree(
         try:
             result = simulate_and_sample(parsed, **kwargs)
         except ReproError as error:
-            library.append(str(error))
+            library.append((str(error), None))
         else:
-            library.append(result.bitstring_counts())
+            library.append((result.bitstring_counts(), _build_facts(result)))
     lines = "".join(
         json.dumps({"circuit": {"qasm": qasm}, **record}) + "\n" for record in records
     )
     sink = io.StringIO()
     with SamplingService() as service:
-        served = [
-            service.sample(SamplingRequest(parsed, **record)).to_dict()
-            for record in records
-        ]
+        served = [service.sample(SamplingRequest(parsed, **record)) for record in records]
         run_batch(service, io.StringIO(lines), sink)
     batch = [json.loads(line) for line in sink.getvalue().splitlines()]
-    for record, answer, *responses in zip(records, library, served, batch):
+    for record, (answer, build), response, line in zip(records, library, served, batch):
         others = [
-            response["counts"] if response["status"] == "ok" else response["error"]
-            for response in responses
+            reply["counts"] if reply["status"] == "ok" else reply["error"]
+            for reply in (response.to_dict(), line)
         ]
         if others != [answer, answer]:
             return (
@@ -785,7 +788,30 @@ def _check_surfaces_agree(
                 f"{_surface_summary(answer)}, service "
                 f"{_surface_summary(others[0])}, batch {_surface_summary(others[1])}"
             )
+        if not response.ok:
+            continue
+        served_build = (
+            _build_facts(response.result),
+            response.fidelity_bound,
+            line.get("fidelity_bound"),
+        )
+        if served_build != (build, build[0], build[0]):
+            return (
+                f"surfaces disagree on {record}'s artifact: library (fidelity "
+                f"bound, level_to_qubit) {build}, service {served_build[0]}, "
+                f"response fidelity_bound {served_build[1]} (batch "
+                f"{served_build[2]})"
+            )
     return None
+
+
+def _build_facts(result: Any) -> Tuple[Optional[float], Optional[List[int]]]:
+    """A result's fidelity bound and ``level_to_qubit`` from ``metadata["build"]``."""
+    build = result.metadata.get("build") or {}
+    return (
+        (build.get("approximation") or {}).get("fidelity_bound"),
+        (build.get("reorder") or {}).get("level_to_qubit"),
+    )
 
 
 def _surface_summary(answer: Any) -> str:

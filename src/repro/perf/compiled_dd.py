@@ -8,7 +8,10 @@ that flattening to a first-class, *cached* artifact:
   index, built **iteratively** (no recursion, so registers with hundreds
   of qubits compile fine) and usable by every consumer that needs branch
   probabilities: the vectorised sampler, top-qubit marginal sampling,
-  exact per-qubit marginals, and the dense alias/prefix samplers.
+  exact per-qubit marginals, and the dense alias/prefix samplers.  One
+  traversal flattens both kinds of DD the service stores: a state
+  (:func:`compile_edge`) and a density matrix's diagonal
+  (:func:`compile_probability_edge`); only the per-node ``p0`` differs.
 * :class:`CompiledDDCache` — a per-package cache keyed on the DD root,
   with build/reuse counters.  Node indexes are unique for a package's
   lifetime (they survive ``compact()``), so ``(root index, scheme flag)``
@@ -23,11 +26,11 @@ the same final state pay the flattening cost once.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from ..dd.node import Edge, is_terminal
+from ..dd.node import Edge, Node, is_terminal
 from ..exceptions import SamplingError
 
 __all__ = [
@@ -327,17 +330,18 @@ class CompiledDD:
         return vectors[self.root]
 
 
-def compile_edge(
+def _flatten(
     edge: Edge,
     num_qubits: int,
-    downstream: Optional[Dict[int, float]] = None,
+    branch_p0: Callable[[List[Node]], Iterable[float]],
 ) -> CompiledDD:
-    """Flatten the DD under ``edge`` into a :class:`CompiledDD`.
+    """Flatten the DD under ``edge``; ``branch_p0(nodes)`` yields each ``p0``.
 
-    ``downstream`` carries the per-node correction masses for non-L2
-    normalisation schemes; ``None`` asserts the L2 invariant (all masses
-    1).  The traversal is an explicit-stack DFS, so register depth is not
-    limited by the Python recursion limit.
+    The one traversal behind both compilers: an explicit-stack DFS (so
+    register depth is not limited by the Python recursion limit) lists
+    the reachable non-terminal nodes, ``branch_p0`` maps that list to
+    the nodes' 0-branch probabilities in the same order, and one fill
+    writes the child ids and the level index.
     """
     if edge.is_zero:
         raise SamplingError("cannot compile the zero vector")
@@ -345,7 +349,7 @@ def compile_edge(
         raise SamplingError("cannot compile a bare terminal edge")
 
     id_of: Dict[int, int] = {}
-    nodes: List = []
+    nodes: List[Node] = []
     stack = [edge.node]
     while stack:
         node = stack.pop()
@@ -358,31 +362,14 @@ def compile_edge(
                 stack.append(child.node)
 
     count = len(nodes)
-    p0 = np.zeros(count, dtype=np.float64)
+    p0 = np.fromiter(branch_p0(nodes), dtype=np.float64, count=count)
+    # Zero and terminal children keep id 0: they are never dereferenced.
     child0 = np.zeros(count, dtype=np.int64)
     child1 = np.zeros(count, dtype=np.int64)
     per_level: List[List[int]] = [[] for _ in range(num_qubits)]
-    for node in nodes:
-        compact = id_of[node.index]
-        masses = []
-        for child in node.edges:
-            if child.is_zero:
-                masses.append(0.0)
-                continue
-            weight_sq = abs(child.weight) ** 2
-            if downstream is None or is_terminal(child.node):
-                masses.append(weight_sq)
-            else:
-                masses.append(weight_sq * downstream[child.node.index])
-        total = masses[0] + masses[1]
-        if total <= 0.0:
-            raise SamplingError("node with zero probability mass")
-        p0[compact] = masses[0] / total
-        for bit, child_array in ((0, child0), (1, child1)):
-            child = node.edges[bit]
-            if child.is_zero or is_terminal(child.node):
-                child_array[compact] = 0  # never dereferenced
-            else:
+    for compact, node in enumerate(nodes):
+        for child, child_array in zip(node.edges, (child0, child1)):
+            if not child.is_zero and not is_terminal(child.node):
                 child_array[compact] = id_of[child.node.index]
         per_level[node.var].append(compact)
 
@@ -396,6 +383,37 @@ def compile_edge(
         id_of=id_of,
         levels=levels,
     )
+
+
+def compile_edge(
+    edge: Edge,
+    num_qubits: int,
+    downstream: Optional[Dict[int, float]] = None,
+) -> CompiledDD:
+    """Flatten the DD under ``edge`` into a :class:`CompiledDD`.
+
+    ``downstream`` carries the per-node correction masses for non-L2
+    normalisation schemes; ``None`` asserts the L2 invariant (all masses
+    1), so each node's ``p0`` is ``|w0|² / (|w0|² + |w1|²)``.
+    """
+
+    def mass(child: Edge) -> float:
+        if child.is_zero:
+            return 0.0
+        weight_sq = abs(child.weight) ** 2
+        if downstream is None or is_terminal(child.node):
+            return weight_sq
+        return weight_sq * downstream[child.node.index]
+
+    def branch_p0(nodes: List[Node]) -> Iterator[float]:
+        for node in nodes:
+            mass0, mass1 = mass(node.edges[0]), mass(node.edges[1])
+            total = mass0 + mass1
+            if total <= 0.0:
+                raise SamplingError("node with zero probability mass")
+            yield mass0 / total
+
+    return _flatten(edge, num_qubits, branch_p0)
 
 
 def compile_probability_edge(edge: Edge, num_qubits: int) -> CompiledDD:
@@ -417,79 +435,33 @@ def compile_probability_edge(edge: Edge, num_qubits: int) -> CompiledDD:
     validation and serves through the artifact store like any exact
     compiled DD.
     """
-    if edge.is_zero:
-        raise SamplingError("cannot compile the zero distribution")
-    if is_terminal(edge.node):
-        raise SamplingError("cannot compile a bare terminal edge")
-
-    id_of: Dict[int, int] = {}
-    nodes: List = []
-    stack = [edge.node]
-    while stack:
-        node = stack.pop()
-        if is_terminal(node) or node.index in id_of:
-            continue
-        id_of[node.index] = len(nodes)
-        nodes.append(node)
-        for child in node.edges:
-            if not child.is_zero and not is_terminal(child.node):
-                stack.append(child.node)
-
-    # Subtree sums bottom-up: children sit at strictly lower levels, so
-    # ascending-var order is a topological order of the DAG.
     sums: Dict[int, complex] = {}
-    for node in sorted(nodes, key=lambda n: n.var):
-        total = 0j
-        for child in node.edges:
-            if child.is_zero:
-                continue
-            if is_terminal(child.node):
-                total += child.weight
-            else:
-                total += child.weight * sums[child.node.index]
-        sums[node.index] = total
 
-    count = len(nodes)
-    p0 = np.zeros(count, dtype=np.float64)
-    child0 = np.zeros(count, dtype=np.int64)
-    child1 = np.zeros(count, dtype=np.int64)
-    per_level: List[List[int]] = [[] for _ in range(num_qubits)]
-    for node in nodes:
-        compact = id_of[node.index]
-        masses = []
-        for child in node.edges:
-            if child.is_zero:
-                masses.append(0j)
-            elif is_terminal(child.node):
-                masses.append(child.weight)
-            else:
-                masses.append(child.weight * sums[child.node.index])
-        total = masses[0] + masses[1]
-        if total == 0:
+    def mass(child: Edge) -> complex:
+        if child.is_zero:
+            return 0j
+        if is_terminal(child.node):
+            return child.weight
+        return child.weight * sums[child.node.index]
+
+    def branch_p0(nodes: List[Node]) -> Iterator[float]:
+        # Subtree sums bottom-up: children sit at strictly lower levels,
+        # so ascending-var order is a topological order of the DAG.
+        for node in sorted(nodes, key=lambda n: n.var):
+            total = 0j
+            for child in node.edges:
+                if not child.is_zero:
+                    total += mass(child)
+            sums[node.index] = total
+        for node in nodes:
+            mass0, mass1 = mass(node.edges[0]), mass(node.edges[1])
+            total = mass0 + mass1
             # A node whose whole subtree cancelled to float dust carries
             # no probability mass; any branch choice is unobservable.
-            probability = 1.0
-        else:
-            probability = (masses[0] / total).real
-        p0[compact] = min(max(probability, 0.0), 1.0)
-        for bit, child_array in ((0, child0), (1, child1)):
-            child = node.edges[bit]
-            if child.is_zero or is_terminal(child.node):
-                child_array[compact] = 0  # never dereferenced
-            else:
-                child_array[compact] = id_of[child.node.index]
-        per_level[node.var].append(compact)
+            probability = 1.0 if total == 0 else (mass0 / total).real
+            yield min(max(probability, 0.0), 1.0)
 
-    levels = [np.asarray(ids, dtype=np.int64) for ids in per_level]
-    return CompiledDD(
-        num_qubits=num_qubits,
-        root=id_of[edge.node.index],
-        p0=p0,
-        child0=child0,
-        child1=child1,
-        id_of=id_of,
-        levels=levels,
-    )
+    return _flatten(edge, num_qubits, branch_p0)
 
 
 class CompiledDDCache:

@@ -10,9 +10,13 @@ same :class:`~repro.core.results.SampleResult` that
 :func:`repro.core.weak_sim.simulate_and_sample` produces for the same
 arguments — whether the artifact was just built, read back from disk, or
 found hot in memory, and at any client concurrency.  That holds because
-the artifact round-trip is float64-bit-exact and the warm path consumes
-the RNG exactly like the cold path (same per-level draws, same
-seed-stable chunking under ``workers``).
+the artifact is built by the library's own
+:func:`~repro.core.weak_sim.build_artifact`, its round-trip is
+float64-bit-exact, and every tier draws through the library's
+:func:`~repro.core.weak_sim.sample_artifact` (same per-level draws, same
+seed-stable chunking under ``workers``).  Every ``dd``-backend result
+carries the artifact's build record as ``metadata["build"]``, the
+record the store keeps as ``meta``.
 
 Requests go where :meth:`BuildSpec.route
 <repro.simulators.build_spec.BuildSpec.route>` sends them, the same
@@ -26,8 +30,9 @@ circuits (run by :class:`~repro.core.shot_executor.ShotExecutor`).
 Telemetry: pass a :class:`repro.telemetry.Telemetry` session and the
 service activates it for its lifetime.  Every request opens a
 ``service.request`` span; builds appear as the simulator's ``build``
-spans under it (their *absence* on a warm hit is the observable proof
-that strong simulation was skipped); counters land under ``service.*``
+and the flattening's ``precompute`` spans (their *absence* on a warm
+hit is the observable proof that strong simulation was skipped);
+counters land under ``service.*``
 (see ``docs/serving.md``).
 """
 
@@ -47,12 +52,10 @@ import numpy as np
 from .. import telemetry as _telemetry
 from ..circuit.circuit import QuantumCircuit
 from ..core.results import SampleResult, bitstrings
-from ..core.weak_sim import sample_statevector, simulate_and_sample
+from ..core.weak_sim import sample_artifact, sample_statevector, simulate_and_sample
 from ..dd.normalization import NormalizationScheme
-from ..dd.reorder import is_identity_permutation, unpermute_samples
 from ..exceptions import MemoryOutError, ReproError
 from ..perf.compiled_dd import CompiledDD
-from ..perf.parallel import DEFAULT_CHUNK_SHOTS, sample_chunked
 from ..simulators.build_spec import BuildSpec
 from .keys import spec_key
 from .scheduler import AdmissionError, BuildOutcome, BuildScheduler, ServicePolicy
@@ -133,6 +136,53 @@ def resolve_circuit(spec: Any) -> QuantumCircuit:
         f"unknown builtin circuit {spec!r} (expected bell, qft_N, grover_N, "
         "ghz_N, w_N, or supremacy_RxC_D)"
     )
+
+
+#: The typed scalars of a request record: field -> (JSON type, default).
+#: ``shots`` has no default; a ``None`` default also admits ``null``.
+_SCALARS: Dict[str, Any] = {
+    "shots": ("integer", ...),
+    "seed": ("integer", None),
+    "workers": ("integer", None),
+    "optimize": ("boolean", True),
+    "initial_state": ("integer", 0),
+    "deadline_seconds": ("number", None),
+}
+
+_PYTHON_TYPES = {"integer": int, "boolean": bool, "number": (int, float)}
+
+
+def request_scalars(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The typed scalar fields of a request record, checked strictly.
+
+    Integer fields (``shots``, ``seed``, ``workers``, ``initial_state``)
+    must be JSON integers, ``optimize`` a JSON boolean and
+    ``deadline_seconds`` a JSON number; a boolean is never a number.
+    An absent field takes its default.  Any other value raises
+    :class:`~repro.exceptions.ReproError` naming the field, so a
+    mistyped value is refused rather than coerced.  The dispatcher
+    (:meth:`~repro.service.pool.WorkerPool.routing_key`) and
+    :meth:`SamplingRequest.from_record` both parse through here.
+    """
+    scalars: Dict[str, Any] = {}
+    for name, (kind, default) in _SCALARS.items():
+        if name not in record:
+            if default is ...:
+                raise ReproError(f"request is missing the {name!r} field")
+            scalars[name] = default
+            continue
+        value = record[name]
+        if value is None and default is None:
+            scalars[name] = None
+        elif isinstance(value, bool) != (kind == "boolean") or not isinstance(
+            value, _PYTHON_TYPES[kind]
+        ):
+            raise ReproError(
+                f"request field {name!r} must be a JSON {kind}, got {value!r}"
+            )
+        else:
+            scalars[name] = float(value) if kind == "number" else value
+    return scalars
 
 
 class _JsonText(bytes):
@@ -245,33 +295,24 @@ class SamplingRequest:
         features (``approximation``, ``reorder``, ``noise_model``) pass
         through raw: :meth:`build_spec` parses them when the request is
         served, so a malformed value becomes a ``rejected`` response,
-        not a crash.  Fields outside the schema are ignored, ``kernel``
-        among them: the build picks its own engine.  Raises
-        :class:`~repro.exceptions.ReproError` (or :class:`ValueError` for
-        a mistyped scalar) for a record that cannot become a request.
+        not a crash.  The typed scalars are parsed strictly by
+        :func:`request_scalars`.  Fields outside the schema are ignored,
+        ``kernel`` among them: the build picks its own engine.  Raises
+        :class:`~repro.exceptions.ReproError` for a record that cannot
+        become a request.
         """
         if "circuit" not in record:
             raise ReproError("request is missing the 'circuit' field")
-        if "shots" not in record:
-            raise ReproError("request is missing the 'shots' field")
-
-        def optional(name: str, kind):
-            value = record.get(name)
-            return None if value is None else kind(value)
-
+        scalars = request_scalars(record)
+        request_id = record.get("request_id")
         return cls(
             circuit=resolve_circuit(record["circuit"]),
-            shots=int(record["shots"]),
-            seed=optional("seed", int),
             method=str(record.get("method", "dd")),
-            workers=optional("workers", int),
-            optimize=bool(record.get("optimize", True)),
-            initial_state=int(record.get("initial_state", 0)),
-            deadline_seconds=optional("deadline_seconds", float),
-            request_id=optional("request_id", str),
+            request_id=None if request_id is None else str(request_id),
             approximation=record.get("approximation"),
             reorder=record.get("reorder"),
             noise_model=record.get("noise_model"),
+            **scalars,
         )
 
     def build_spec(self) -> BuildSpec:
@@ -716,32 +757,16 @@ class SamplingService:
         ):
             try:
                 if outcome.backend == "dd":
-                    compiled = outcome.compiled
-                    if request.workers is None:
-                        samples = compiled.sample(request.shots, rng)
-                    else:
-                        samples = sample_chunked(
-                            compiled.sample,
-                            request.shots,
-                            rng,
-                            workers=request.workers,
-                            chunk_shots=DEFAULT_CHUNK_SHOTS,
-                        )
-                    # A reordered artifact samples in level space; its
-                    # recorded permutation moves every draw back to the
-                    # original qubit order (cold, disk, and hot hits all
-                    # carry the permutation in the artifact meta, so the
-                    # warm path stays bit-identical to the cold one).
-                    level_to_qubit = ((outcome.meta or {}).get("reorder") or {}).get(
-                        "level_to_qubit"
+                    # Cold, disk and hot hits all carry the build record,
+                    # so they draw exactly as the library does.
+                    result = sample_artifact(
+                        outcome.compiled,
+                        outcome.meta,
+                        request.shots,
+                        rng,
+                        request.workers,
                     )
-                    if level_to_qubit is not None and not is_identity_permutation(
-                        level_to_qubit
-                    ):
-                        samples = unpermute_samples(samples, level_to_qubit)
-                    result = SampleResult.from_samples(
-                        compiled.num_qubits, samples, method="dd"
-                    )
+                    result.metadata["build"] = outcome.meta
                 elif outcome.backend == "statevector":
                     result = sample_statevector(
                         outcome.statevector,
@@ -758,17 +783,12 @@ class SamplingService:
         sampling_seconds = time.perf_counter() - start
         result.sampling_seconds = sampling_seconds
         result.precompute_seconds = outcome.build_seconds
-        meta = outcome.meta or {}
-        service_meta: Dict[str, Any] = {
+        result.metadata["service"] = {
             "key": outcome.key,
             "cache": outcome.source,
             "backend": outcome.backend,
             "attempts": outcome.attempts,
         }
-        for feature in ("approximation", "reorder", "noise"):
-            if meta.get(feature) is not None:
-                service_meta[feature] = meta[feature]
-        result.metadata["service"] = service_meta
         return SamplingResponse(
             request_id=request.request_id,
             status="ok",
@@ -779,8 +799,10 @@ class SamplingService:
             degraded_reason=outcome.degraded_reason,
             build_seconds=outcome.build_seconds,
             sampling_seconds=sampling_seconds,
-            fidelity_bound=(meta.get("approximation") or {}).get("fidelity_bound"),
-            noise=(meta.get("noise") or {}).get("model"),
+            fidelity_bound=(outcome.meta.get("approximation") or {}).get(
+                "fidelity_bound"
+            ),
+            noise=(outcome.meta.get("noise") or {}).get("model"),
         )
 
     # ------------------------------------------------------------------

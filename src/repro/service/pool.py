@@ -391,14 +391,20 @@ class WorkerPool:
 
         Resolving a circuit spec costs a parse, so identical specs are
         memoised; the memo key is the canonical JSON of the spec plus
-        the build-config fields that enter the artifact key.  Raises
-        :class:`~repro.exceptions.ReproError` for an unresolvable spec.
+        the build-config fields that enter the artifact key.  The
+        record's scalars are parsed by
+        :func:`~repro.service.api.request_scalars`, as the worker parses
+        them.  Raises :class:`~repro.exceptions.ReproError` for an
+        unresolvable spec or a mistyped scalar.
         """
+        from .api import request_scalars, resolve_circuit
+        from .keys import cache_key
+
         if "circuit" not in record:
             raise ReproError("request is missing the 'circuit' field")
         _guard_qasm_spec(record["circuit"], self.config.qasm_file_root)
-        optimize = bool(record.get("optimize", True))
-        initial_state = int(record.get("initial_state", 0))
+        scalars = request_scalars(record)
+        optimize, initial_state = scalars["optimize"], scalars["initial_state"]
         memo_key = (
             json.dumps(record["circuit"], sort_keys=True),
             optimize,
@@ -408,9 +414,6 @@ class WorkerPool:
             cached = self._routing_cache.get(memo_key)
         if cached is not None:
             return cached
-        from .api import resolve_circuit
-        from .keys import cache_key
-
         circuit = resolve_circuit(record["circuit"])
         key = cache_key(
             circuit, optimize=optimize, initial_state=initial_state

@@ -2,7 +2,10 @@
 
 The expensive step the service exists to amortise is the strong
 simulation (circuit → final DD → flattened traversal tables).  The
-:class:`BuildScheduler` owns that step:
+build itself is the library's :func:`repro.core.weak_sim.build_artifact`,
+the same function ``simulate_and_sample`` runs, so a served artifact and
+its build record (kept by the store as ``meta``) are the library's.  The
+:class:`BuildScheduler` decides when and how often that build runs:
 
 * **Coalescing** — concurrent requests for the same cache key share one
   build.  The first request enqueues a job; late arrivals get the same
@@ -51,16 +54,11 @@ import numpy as np
 
 from .. import telemetry as _telemetry
 from ..circuit.circuit import QuantumCircuit
-from ..core.dd_sampler import DDSampler
+from ..core.weak_sim import build_artifact
 from ..dd.approximation import ApproximationConfig
 from ..exceptions import MemoryOutError, ReproError, SamplingError
 from ..perf.compiled_dd import CompiledDD
 from ..simulators.build_spec import BuildSpec
-from ..simulators.dd_simulator import DDSimulator
-from ..simulators.density_simulator import (
-    DensityMatrixSimulator,
-    compile_noisy_sampler,
-)
 from ..simulators.statevector import DEFAULT_MEMORY_CAP, StatevectorSimulator
 from .store import ArtifactStore
 
@@ -107,7 +105,10 @@ class BuildOutcome:
     Exactly one of ``compiled`` / ``statevector`` / ``stabilizer_state``
     is set, according to ``backend`` (``"dd"``, ``"statevector"``,
     ``"stabilizer"``).  ``source`` records where the artifact came from:
-    ``"disk"`` (warm cache) or ``"built"`` (cold).
+    ``"disk"`` (warm cache) or ``"built"`` (cold).  ``meta`` is a DD
+    artifact's build record from
+    :func:`~repro.core.weak_sim.build_artifact` (empty for the dense and
+    stabilizer rungs).
     """
 
     key: str
@@ -302,8 +303,8 @@ class BuildScheduler:
         # Counted only once the strong simulation has actually produced
         # a usable artifact: counting at attempt start double-counted
         # ``service.builds`` whenever a failure *after* the simulation
-        # (meta probing, an over-budget DD, a transient store error)
-        # pushed the job back through the retry/degradation ladder —
+        # (an over-budget DD, a transient store error) pushed the job
+        # back through the retry/degradation ladder —
         # the counter the coalescing tests and serve-net-smoke's
         # one-build-per-fingerprint gate pin would then drift from the
         # number of artifacts ever produced.
@@ -371,24 +372,13 @@ class BuildScheduler:
     def _build_dd(
         self, key: str, circuit: QuantumCircuit, spec: BuildSpec
     ) -> BuildOutcome:
-        """One strong simulation + flatten; may raise for the ladder."""
+        """One :func:`~repro.core.weak_sim.build_artifact`; may raise for the ladder."""
         self._count("build_attempts")
-        if spec.noise is not None:
-            return self._build_density(key, circuit, spec)
         # The mid-build guard aborts a doomed build early; a cap of 0
         # (used by tests to force degradation) stays with the post-build
         # check below, since node_limit needs a positive ceiling.
-        node_limit = self.policy.max_build_nodes
-        simulator = DDSimulator(
-            scheme=spec.scheme,
-            optimize=spec.optimize,
-            approximation=spec.approximation,
-            node_limit=node_limit if node_limit else None,
-            reorder=spec.reorder,
-        )
-        state = simulator.run(circuit, initial_state=spec.initial_state)
-        compiled = DDSampler(state).compiled()
         limit = self.policy.max_build_nodes
+        compiled, meta = build_artifact(circuit, spec, node_limit=limit or None)
         if limit is not None and compiled.size > limit:
             # MemoryError (not MemoryOutError, whose constructor wants byte
             # counts) so the ladder treats an over-large DD like a real OOM.
@@ -396,122 +386,7 @@ class BuildScheduler:
                 f"built DD has {compiled.size} flattened nodes, over the "
                 f"service limit of {limit} (ServicePolicy.max_build_nodes)"
             )
-        meta = self._extract_meta(simulator, circuit, state, compiled, spec)
         return self._built(key, compiled, meta)
-
-    def _build_density(
-        self, key: str, circuit: QuantumCircuit, spec: BuildSpec
-    ) -> BuildOutcome:
-        """The noisy build: density DD → diagonal → compiled artifact.
-
-        The optimizer and the vector kernel do not apply here (gate-
-        attached noise binds to the circuit as written, and superoperator
-        application needs the edge representation), so a noisy build has
-        no ``optimize`` knob and runs on the density engine.  The produced
-        :class:`~repro.perf.compiled_dd.CompiledDD` stores and samples
-        exactly like an exact artifact — only the key namespace differs.
-        """
-        noise = spec.noise
-        node_limit = self.policy.max_build_nodes
-        simulator = DensityMatrixSimulator(
-            noise=noise, node_limit=node_limit if node_limit else None
-        )
-        rho = simulator.run(circuit, initial_state=spec.initial_state)
-        compiled = compile_noisy_sampler(rho, noise)
-        if node_limit is not None and compiled.size > node_limit:
-            raise MemoryError(
-                f"built density diagonal has {compiled.size} flattened "
-                f"nodes, over the service limit of {node_limit} "
-                "(ServicePolicy.max_build_nodes)"
-            )
-        stats = simulator.stats
-        meta: Dict[str, Any] = {
-            "num_qubits": circuit.num_qubits,
-            "dd_nodes": rho.node_count,
-            "compiled_size": compiled.size,
-            "initial_state": spec.initial_state,
-            "circuit_name": getattr(circuit, "name", None),
-            "engine": "density",
-            "noise": {
-                "model": noise.to_dict(),
-                "channel_applications": stats.noise_channel_applications,
-                "kraus_applications": stats.noise_kraus_applications,
-            },
-        }
-        return self._built(key, compiled, meta)
-
-    @staticmethod
-    def _extract_meta(
-        simulator: Any,
-        circuit: QuantumCircuit,
-        state: Any,
-        compiled: CompiledDD,
-        spec: BuildSpec,
-    ) -> Dict[str, Any]:
-        """Build-provenance metadata; never raises past this frame.
-
-        Meta probing is best-effort bookkeeping on top of a *finished*
-        build.  If it were allowed to raise (a duck-typed simulator
-        double, an exotic engine missing an accessor), the ladder would
-        misread the failure as a failed build and re-run — or degrade —
-        a simulation that already succeeded, double-counting
-        ``service.builds`` along the way.  Probes that fail fall back to
-        their defaults instead.
-        """
-        meta: Dict[str, Any] = {
-            "num_qubits": circuit.num_qubits,
-            "dd_nodes": getattr(state, "node_count", None),
-            "compiled_size": compiled.size,
-            "scheme": spec.scheme.value,
-            "optimize": spec.optimize,
-            "initial_state": spec.initial_state,
-            "circuit_name": getattr(circuit, "name", None),
-        }
-        # Provenance only: the engines are bit-identical, so the cache
-        # key leaves the engine out.  The defaulted probes keep duck-typed
-        # simulator doubles (tests, degradation shims) working.
-        stats = getattr(simulator, "stats", None)
-        meta["engine"] = getattr(stats, "kernel", None)
-        meta["kernel_fallbacks"] = getattr(stats, "kernel_fallbacks", 0)
-        approximation, reorder = spec.approximation, spec.reorder
-        if approximation is not None:
-            # The approximation contract travels WITH the artifact: a
-            # store hit must be able to report the fidelity bound without
-            # re-running the build.
-            try:
-                meta["approximation"] = {
-                    "epsilon": approximation.epsilon,
-                    "strategy": approximation.strategy,
-                    "rounds": getattr(stats, "approx_rounds", 0),
-                    "removed_edges": getattr(stats, "approx_removed_edges", 0),
-                    "removed_mass": getattr(stats, "approx_removed_mass", 0.0),
-                    "fidelity_bound": getattr(stats, "fidelity_bound", None),
-                }
-            except Exception:
-                meta["approximation"] = {"epsilon": approximation.epsilon}
-        if reorder is not None:
-            # The permutation travels WITH the artifact: the stored flat
-            # arrays sample in level space, and every hit (disk or hot)
-            # must unpermute exactly as the cold path did.
-            try:
-                level_to_qubit = getattr(stats, "level_to_qubit", None)
-                meta["reorder"] = {
-                    "budget": reorder.budget,
-                    "level_to_qubit": (
-                        list(level_to_qubit)
-                        if level_to_qubit is not None
-                        else list(range(circuit.num_qubits))
-                    ),
-                    "rounds": getattr(stats, "reorder_rounds", 0),
-                    "swaps": getattr(stats, "reorder_swaps", 0),
-                    "swaps_kept": getattr(stats, "reorder_swaps_kept", 0),
-                }
-            except Exception:
-                meta["reorder"] = {
-                    "budget": reorder.budget,
-                    "level_to_qubit": list(range(circuit.num_qubits)),
-                }
-        return meta
 
     # ------------------------------------------------------------------
     # Degradation ladder

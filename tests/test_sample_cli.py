@@ -101,6 +101,59 @@ def test_stats_names_the_engine_that_ran(bell_file, capsys, flags, engine):
         assert engine in build
 
 
+_FOUR_QUBITS = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[4];
+creg c[4];
+h q[0];
+cx q[0],q[3];
+ry(0.3) q[1];
+cx q[1],q[2];
+t q[2];
+h q[3];
+cx q[3],q[1];
+measure q -> c;
+"""
+
+_BUILD_LINES = (
+    "build:",
+    "strategies:",
+    "optimizer ",
+    "dd tables:",
+    "approximation:",
+    "reorder:",
+    "noise:",
+)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--approx-epsilon", "0.1"],
+        ["--reorder"],
+        ["--noise-strength", "0.01"],
+    ],
+    ids=["exact", "approximate", "reordered", "noisy"],
+)
+def test_cache_dir_stats_print_the_uncached_build_lines(tmp_path, capsys, flags):
+    qasm = tmp_path / "four.qasm"
+    qasm.write_text(_FOUR_QUBITS)
+    args = [str(qasm), "--shots", "300", "--seed", "4", "--stats", *flags]
+
+    def build_lines():
+        out = capsys.readouterr().out
+        return [line for line in out.splitlines() if line.startswith(_BUILD_LINES)]
+
+    assert main(args) == 0
+    uncached = build_lines()
+    assert any(line.startswith("build:") for line in uncached)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    for _tier in ("built", "disk"):
+        assert main([*args, *cache]) == 0
+        assert build_lines() == uncached
+
+
 def test_trace_flag_writes_valid_jsonl(bell_file, tmp_path, capsys):
     from repro.telemetry import read_trace
 

@@ -56,6 +56,45 @@ def test_cold_hot_warm_all_bit_identical_to_weak_sim(tmp_path):
         assert response.result.counts == reference.counts
 
 
+@pytest.mark.parametrize(
+    "circuit_name, features",
+    [
+        ("supremacy_2x3_4", {}),
+        ("supremacy_2x3_4", {"approximation": 0.1}),
+        ("supremacy_2x3_4", {"reorder": True}),
+        ("ghz_4", {"noise_model": 0.02}),
+    ],
+    ids=["exact", "approximate", "reordered", "noisy"],
+)
+def test_every_tier_carries_the_library_build_record(
+    tmp_path, circuit_name, features
+):
+    from repro.service.api import resolve_circuit
+
+    circuit = resolve_circuit(circuit_name)
+    library = {
+        "noise" if name == "noise_model" else name: value
+        for name, value in features.items()
+    }
+    reference = simulate_and_sample(circuit, 500, seed=3, **library)
+    request = SamplingRequest(circuit, 500, seed=3, **features)
+    with SamplingService(cache_dir=str(tmp_path)) as service:
+        cold = service.sample(request)
+        hot = service.sample(request)
+        stored = service.store.get(cold.key)
+    with SamplingService(cache_dir=str(tmp_path)) as service:
+        disk = service.sample(request)
+    assert [r.cache for r in (cold, hot, disk)] == ["built", "memory", "disk"]
+    build = reference.metadata["build"]
+    for response in (cold, hot, disk):
+        assert response.result.counts == reference.counts
+        assert response.result.metadata["build"] == build
+        assert set(response.result.metadata["service"]) == {
+            "key", "cache", "backend", "attempts",
+        }
+    assert stored.meta == build
+
+
 def test_workers_chunking_matches_weak_sim(tmp_path):
     circuit = qft(6)
     reference = simulate_and_sample(
@@ -193,7 +232,7 @@ def test_deadline_exceeded_then_served_from_cache(tmp_path, monkeypatch):
             return super().run(circuit, initial_state=initial_state)
 
     monkeypatch.setattr(
-        "repro.service.scheduler.DDSimulator", SlowSimulator
+        "repro.core.weak_sim.DDSimulator", SlowSimulator
     )
     circuit = bell_pair()
     with SamplingService(cache_dir=str(tmp_path)) as service:
@@ -220,6 +259,10 @@ def test_transient_failures_are_retried(tmp_path, monkeypatch):
         def __init__(self, *args, **kwargs):
             self._inner = real(*args, **kwargs)
 
+        @property
+        def stats(self):
+            return self._inner.stats
+
         def run(self, circuit, initial_state=0):
             calls["count"] += 1
             if calls["count"] <= 2:
@@ -227,7 +270,7 @@ def test_transient_failures_are_retried(tmp_path, monkeypatch):
             return self._inner.run(circuit, initial_state=initial_state)
 
     monkeypatch.setattr(
-        "repro.service.scheduler.DDSimulator", FlakySimulator
+        "repro.core.weak_sim.DDSimulator", FlakySimulator
     )
     with SamplingService(cache_dir=str(tmp_path)) as service:
         response = service.sample(SamplingRequest(bell_pair(), 200, seed=4))
@@ -246,7 +289,7 @@ def test_permanent_failure_after_retry_budget(tmp_path, monkeypatch):
             raise RuntimeError("always broken")
 
     monkeypatch.setattr(
-        "repro.service.scheduler.DDSimulator", BrokenSimulator
+        "repro.core.weak_sim.DDSimulator", BrokenSimulator
     )
     policy = ServicePolicy(max_retries=1, retry_backoff_seconds=0.0)
     with SamplingService(cache_dir=str(tmp_path), policy=policy) as service:
@@ -403,11 +446,15 @@ def test_close_drain_times_out_and_cancels_queued_builds(monkeypatch):
         def __init__(self, *args, **kwargs):
             self._inner = real(*args, **kwargs)
 
+        @property
+        def stats(self):
+            return self._inner.stats
+
         def run(self, circuit, initial_state=0):
             release.wait(timeout=30.0)
             return self._inner.run(circuit, initial_state=initial_state)
 
-    monkeypatch.setattr("repro.service.scheduler.DDSimulator", StuckSimulator)
+    monkeypatch.setattr("repro.core.weak_sim.DDSimulator", StuckSimulator)
     scheduler = BuildScheduler(store=None, workers=1)
     running = scheduler.submit("key-running", bell_pair())
     queued = scheduler.submit("key-queued", ghz(3))
@@ -480,13 +527,17 @@ def test_build_attempts_reconcile_with_builds_and_failures(
         def __init__(self, *args, **kwargs):
             self._inner = real(*args, **kwargs)
 
+        @property
+        def stats(self):
+            return self._inner.stats
+
         def run(self, circuit, initial_state=0):
             calls["count"] += 1
             if calls["count"] <= 2:
                 raise RuntimeError("transient build hiccup")
             return self._inner.run(circuit, initial_state=initial_state)
 
-    monkeypatch.setattr("repro.service.scheduler.DDSimulator", FlakySimulator)
+    monkeypatch.setattr("repro.core.weak_sim.DDSimulator", FlakySimulator)
     with SamplingService(cache_dir=str(tmp_path)) as service:
         response = service.sample(SamplingRequest(bell_pair(), 200, seed=4))
         stats = service.stats()

@@ -19,7 +19,7 @@ from repro.algorithms.states import bell_pair, ghz, w_state
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.weak_sim import simulate_and_sample
 from repro.exceptions import ReproError
-from repro.service import SamplingService
+from repro.service import SamplingRequest, SamplingService
 from repro.service.__main__ import main, resolve_circuit, run_batch
 from repro.service.keys import circuit_fingerprint
 
@@ -152,6 +152,82 @@ def test_batch_survives_malformed_lines(tmp_path):
     for index, response in enumerate(responses[1:-1], start=2):
         assert response["status"] == "rejected"
         assert response["error"].startswith(f"line {index}:")
+
+
+#: Mistyped request scalars: (field, value).  Each was once served after
+#: a silent int()/bool()/float() coercion (100.9 shots as 100, "false"
+#: as optimize=True, ...); each must now be refused, naming the field.
+MISTYPED_SCALARS = [
+    ("shots", 100.9),
+    ("shots", True),
+    ("shots", "100"),
+    ("shots", None),
+    ("seed", 7.9),
+    ("seed", True),
+    ("seed", "7"),
+    ("workers", 2.5),
+    ("workers", True),
+    ("optimize", "false"),
+    ("optimize", 0),
+    ("optimize", None),
+    ("initial_state", 2.7),
+    ("initial_state", True),
+    ("initial_state", "2"),
+    ("deadline_seconds", True),
+    ("deadline_seconds", "5"),
+]
+
+
+def _mistyped(field, value):
+    return {"circuit": "bell", "shots": 100, "seed": 1, field: value}
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_SCALARS)
+def test_from_record_refuses_mistyped_scalars(field, value):
+    with pytest.raises(ReproError, match=f"'{field}'"):
+        SamplingRequest.from_record(_mistyped(field, value))
+
+
+def test_from_record_keeps_well_typed_scalars():
+    request = SamplingRequest.from_record(
+        {
+            "circuit": "bell",
+            "shots": 100,
+            "seed": None,
+            "workers": 2,
+            "optimize": False,
+            "initial_state": 3,
+            "deadline_seconds": 5,
+        }
+    )
+    assert (request.shots, request.seed, request.workers) == (100, None, 2)
+    assert (request.optimize, request.initial_state) == (False, 3)
+    assert request.deadline_seconds == 5.0
+    defaults = SamplingRequest.from_record({"circuit": "bell", "shots": 1})
+    assert (defaults.optimize, defaults.initial_state) == (True, 0)
+    assert defaults.deadline_seconds is None
+
+
+def test_batch_rejects_mistyped_scalars(tmp_path):
+    requests = [_mistyped(field, value) for field, value in MISTYPED_SCALARS]
+    with SamplingService(cache_dir=str(tmp_path)) as service:
+        failures, responses = _batch(service, requests)
+        stats = service.stats()
+    assert failures == len(MISTYPED_SCALARS)
+    for (field, _value), response in zip(MISTYPED_SCALARS, responses):
+        assert response["status"] == "rejected"
+        assert f"'{field}'" in response["error"]
+    assert stats["requests"] == 0
+
+
+def test_dispatcher_refuses_mistyped_scalars():
+    from repro.service.pool import WorkerPool
+
+    pool = WorkerPool(workers=2)  # routing needs no running workers
+    for field in ("optimize", "initial_state"):
+        value = "false" if field == "optimize" else 2.7
+        with pytest.raises(ReproError, match=f"'{field}'"):
+            pool.routing_key(_mistyped(field, value))
 
 
 def test_batch_top_truncates_counts(tmp_path):

@@ -167,6 +167,36 @@ def test_worker_side_rejection_maps_to_400(tmp_path):
     assert payload["status"] == "rejected"
 
 
+def test_mistyped_scalars_answer_400_naming_the_field(tmp_path):
+    # Each value used to be coerced and served (100.9 shots as 100,
+    # "false" as optimize=True); the dispatcher now refuses it.
+    mistyped = [
+        ("shots", 100.9),
+        ("shots", True),
+        ("seed", 7.9),
+        ("workers", 2.5),
+        ("optimize", "false"),
+        ("initial_state", 2.7),
+        ("deadline_seconds", "5"),
+    ]
+    pool = _pool(tmp_path)
+
+    async def scenario(front):
+        answers = []
+        for field, value in mistyped:
+            record = {"circuit": "bell", "shots": 100, "seed": 1, field: value}
+            answers.append(
+                await post_json(front.host, front.port, "/v1/sample", record)
+            )
+        return answers
+
+    answers = _run(_with_server(pool, scenario))
+    for (field, _value), (status, payload) in zip(mistyped, answers):
+        assert status == 400
+        assert payload["status"] == "rejected"
+        assert f"'{field}'" in payload["error"]
+
+
 _BELL_QASM = (
     "OPENQASM 2.0;\n"
     'include "qelib1.inc";\n'
