@@ -170,7 +170,14 @@ class GateApplier:
                     state = self.apply_subspace_phase(state, ones, zeros, phase)
             return state
         self.matvec_applications += 1
-        return self.package.mat_vec(self._op_dds.get(op), state)
+        # The SoA kernel runs a matvec as a fallback, between two loads
+        # that empty its add memo; emptying the package's around it gives
+        # both engines the same memo at every add.
+        package = self.package
+        package.clear_add_memo()
+        state = package.mat_vec(self._op_dds.get(op), state)
+        package.clear_add_memo()
+        return state
 
     # ------------------------------------------------------------------
     # Decomposition fast path

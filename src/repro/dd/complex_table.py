@@ -11,17 +11,25 @@ a :class:`ComplexTable` that performs tolerance-based lookup: values within
 
 The table buckets values on a grid of side ``tolerance`` and checks the
 neighbouring buckets, so lookup is O(1) and two values within tolerance of
-each other land at most one bucket apart per axis.
+each other land at most one bucket apart per axis.  Every package also
+applies a relative guard (:data:`DEFAULT_RELATIVE_TOLERANCE`), so a bucket
+can hold several canonical entries; none is ever evicted.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
-__all__ = ["ComplexTable", "DEFAULT_TOLERANCE"]
+__all__ = ["ComplexTable", "DEFAULT_RELATIVE_TOLERANCE", "DEFAULT_TOLERANCE"]
 
 DEFAULT_TOLERANCE = 1e-10
+
+#: Relative interning guard of every vector package: nonzero weights
+#: unify only when they agree to this fraction of their own magnitude.
+#: It makes interning scale-invariant, which the ratio-keyed add memo
+#: (:meth:`~repro.dd.package.DDPackage.add`) relies on.
+DEFAULT_RELATIVE_TOLERANCE = 1e-10
 
 
 class ComplexTable:
@@ -38,25 +46,26 @@ class ComplexTable:
             raise ValueError("relative_tolerance must be non-negative")
         self.tolerance = tolerance
         self.relative_tolerance = relative_tolerance
-        self._buckets: Dict[Tuple[int, int], complex] = {}
+        #: Grid cell -> its canonical entry, or a tuple of them when a
+        #: relative-guard miss lands in an occupied cell.  One-entry
+        #: cells (nearly all) stay a bare ``complex``.
+        self._buckets: Dict[Tuple[int, int], Union[complex, tuple]] = {}
         #: Exact-hit index: every entry some :meth:`lookup` resolved a
         #: value to itself, keyed and valued by the entry object (equality
         #: folds a ``-0.0`` probe onto it).  An entry is its own nearest
-        #: entry, so ``lookup(v) == fixed[v]`` holds for as long as it
-        #: stays in its bucket; the miss that evicts it also drops it
-        #: here.  Hot callers (the SoA kernel) probe it inline and call
-        #: :meth:`lookup` only on a miss.  A value that snaps to a
-        #: *different* entry is never indexed: a later insert can sit
-        #: closer to it and take it over.
+        #: entry and entries are never evicted, so ``lookup(v) ==
+        #: fixed[v]`` holds until :meth:`clear`.  Hot callers (the SoA
+        #: kernel) probe it inline and call :meth:`lookup` only on a miss.
+        #: A value that snaps to a *different* entry is never indexed: a
+        #: later insert can sit closer to it and take it over.
         self.fixed: Dict[complex, complex] = {}
         self.hits = 0
         self.misses = 0
         #: Monotonic insert counter.  A lookup result can only change when
-        #: a miss inserts a new entry (which, under the relative guard, may
-        #: also evict one), so the SoA kernel's row re-normalisation memo
-        #: (``KernelEngine._rebuild_row``) stays valid exactly as long as
-        #: ``version`` is unchanged.  The counter survives :meth:`clear`
-        #: so a stale memo never revalidates.
+        #: a miss inserts a new entry, so the SoA kernel's row
+        #: re-normalisation memo (``KernelEngine._rebuild_row``) stays
+        #: valid exactly as long as ``version`` is unchanged.  The counter
+        #: survives :meth:`clear` so a stale memo never revalidates.
         self.version = getattr(self, "version", 0)
         # Seed the exact constants that appear in virtually every circuit,
         # so they are always the canonical representatives.
@@ -76,7 +85,8 @@ class ComplexTable:
             self.lookup(complex(seed))
 
     def __len__(self) -> int:
-        return len(self._buckets)
+        # Every miss inserts one entry and none is ever removed.
+        return self.misses
 
     def lookup(self, value: complex) -> complex:
         """Return the canonical representative for ``value``.
@@ -85,11 +95,14 @@ class ComplexTable:
         *nearest* such entry is returned; otherwise ``value`` becomes a new
         canonical entry.  ``-0.0`` components are normalised to ``+0.0``
         first so the zero is unique.  With a nonzero
-        ``relative_tolerance``, a nonzero value additionally unifies only
-        with entries within ``relative_tolerance * max(|a|, |b|)`` —
-        tiny weights never alias to relatively-distant neighbours (they
-        may still snap to exact zero, which is governed by the absolute
-        window alone).
+        ``relative_tolerance`` (every package sets one), a nonzero value
+        additionally unifies only with entries within
+        ``relative_tolerance * max(|a|, |b|)`` — tiny weights never alias
+        to relatively-distant neighbours (they may still snap to exact
+        zero, which is governed by the absolute window alone).  Such a
+        miss can land in a grid cell that already holds an entry; the
+        cell then keeps both, so every entry stays canonical for the
+        table's lifetime.
 
         A value sitting within tolerance of two canonical entries (they can
         be up to ``2 * tolerance`` apart, one bucket to each side) resolves
@@ -124,45 +137,48 @@ class ComplexTable:
         for dr in (0, -1, 1):
             kk = kr + dr
             for di in (0, -1, 1):
-                cand = buckets.get((kk, ki + di))
-                if cand is None:
+                entry = buckets.get((kk, ki + di))
+                if entry is None:
                     continue
-                cr = cand.real
-                cim = cand.imag
-                if abs(cr - vr) > tol or abs(cim - vi) > tol:
-                    continue
-                distance = abs(cand - norm)
-                # Relative guard: a nonzero weight may only unify with an
-                # entry that is close *relative to its magnitude*.  Under
-                # left-most normalisation a tiny top weight divides the
-                # O(1) subtree below it, so an absolute-window snap (fine
-                # for O(1) amplitudes) becomes an O(tolerance / |w|)
-                # relative error amplified through the whole branch.
-                # Zero stays an absolute snap: unifying with exact zero
-                # *drops* the branch instead of rescaling it, which costs
-                # only the snapped magnitude itself.
-                if (
-                    relative
-                    and cand != 0.0
-                    and norm != 0.0
-                    and distance > relative * max(abs(cand), abs(norm))
-                ):
-                    continue
-                rank = (distance, cr, cim)
-                if best_rank is None or rank < best_rank:
-                    best, best_rank = cand, rank
+                for cand in entry if entry.__class__ is tuple else (entry,):
+                    cr = cand.real
+                    cim = cand.imag
+                    if abs(cr - vr) > tol or abs(cim - vi) > tol:
+                        continue
+                    distance = abs(cand - norm)
+                    # Relative guard: a nonzero weight may only unify with
+                    # an entry that is close *relative to its magnitude*.
+                    # Under left-most normalisation a tiny top weight
+                    # divides the O(1) subtree below it, so an
+                    # absolute-window snap (fine for O(1) amplitudes)
+                    # becomes an O(tolerance / |w|) relative error
+                    # amplified through the whole branch.  Zero stays an
+                    # absolute snap: unifying with exact zero *drops* the
+                    # branch instead of rescaling it, which costs only the
+                    # snapped magnitude itself.
+                    if (
+                        relative
+                        and cand != 0.0
+                        and norm != 0.0
+                        and distance > relative * max(abs(cand), abs(norm))
+                    ):
+                        continue
+                    rank = (distance, cr, cim)
+                    if best_rank is None or rank < best_rank:
+                        best, best_rank = cand, rank
         if best is not None:
             self.hits += 1
             if best == norm:
                 self.fixed[best] = best
             return best
         key = (kr, ki)
-        evicted = buckets.setdefault(key, norm)
-        if evicted is not norm:
-            # Only a relative-guard miss can find its home bucket
-            # occupied; the entry it overwrites stops being canonical.
+        home = buckets.get(key)
+        if home is None:
             buckets[key] = norm
-            self.fixed.pop(evicted, None)
+        else:
+            # Only a relative-guard miss finds its cell occupied: the
+            # cell keeps both entries.
+            buckets[key] = (home if home.__class__ is tuple else (home,)) + (norm,)
         self.misses += 1
         self.version += 1
         self.fixed[norm] = norm

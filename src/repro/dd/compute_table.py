@@ -74,8 +74,6 @@ class ComputeTable:
     def clear(self) -> None:
         """Drop every entry (keeps the hit/miss counters)."""
         self._table.clear()
-        self.hits = 0
-        self.misses = 0
         self.clears = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

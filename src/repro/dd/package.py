@@ -25,7 +25,11 @@ import numpy as np
 
 from .. import telemetry as _telemetry
 from ..exceptions import DDError
-from .complex_table import DEFAULT_TOLERANCE, ComplexTable
+from .complex_table import (
+    DEFAULT_RELATIVE_TOLERANCE,
+    DEFAULT_TOLERANCE,
+    ComplexTable,
+)
 from .compute_table import ComputeTable
 from .node import TERMINAL, Edge, Node, is_terminal
 from .normalization import NormalizationScheme, normalize_weights
@@ -35,15 +39,22 @@ __all__ = ["DDPackage"]
 
 
 class DDPackage:
-    """Owner of all DD state for one simulation context."""
+    """Owner of all DD state for one simulation context.
+
+    Every package interns with a relative guard (``relative_tolerance``
+    must be positive): :meth:`add`'s ratio-keyed memo is sound only
+    under scale-invariant interning.
+    """
 
     def __init__(
         self,
         scheme: NormalizationScheme = NormalizationScheme.L2,
         tolerance: float = DEFAULT_TOLERANCE,
         compute_table_max_entries: Optional[int] = None,
-        relative_tolerance: float = 0.0,
+        relative_tolerance: float = DEFAULT_RELATIVE_TOLERANCE,
     ):
+        if relative_tolerance <= 0:
+            raise ValueError("relative_tolerance must be positive")
         self.scheme = scheme
         self.tolerance = tolerance
         self.complex_table = ComplexTable(tolerance, relative_tolerance)
@@ -187,100 +198,66 @@ class DDPackage:
         return Edge(edge.node, product)
 
     # ------------------------------------------------------------------
-    # Vector addition
+    # Addition
     # ------------------------------------------------------------------
 
     def add(self, left: Edge, right: Edge) -> Edge:
-        """Pointwise sum of two vector DDs (same register level)."""
-        if left.is_zero:
-            return right
-        if right.is_zero:
-            return left
-        if is_terminal(left.node) and is_terminal(right.node):
-            return self.terminal_edge(left.weight + right.weight)
-        if is_terminal(left.node) or is_terminal(right.node):
-            raise DDError("cannot add vector DDs of mismatched depth")
-        if left.node.var != right.node.var:
-            raise DDError(
-                f"cannot add nodes at levels {left.node.var} and {right.node.var}"
-            )
-        # Canonical key: order operands so a+b and b+a share an entry.
-        ka = (left.node.index, left.weight.real, left.weight.imag)
-        kb = (right.node.index, right.weight.real, right.weight.imag)
-        if kb < ka:
-            left, right, ka, kb = right, left, kb, ka
-        key = ka + kb
-        cached = self._add_table.lookup(key)
-        if cached is not None:
-            return cached
-        children = tuple(
-            self.add(
-                self.scale(left.node.edges[b], left.weight),
-                self.scale(right.node.edges[b], right.weight),
-            )
-            for b in range(2)
-        )
-        result = self.make_vector_node(left.node.var, children)
-        return self._add_table.insert(key, result)
+        """Pointwise sum of two DDs at the same level, vector or matrix.
 
-    def matrix_add(self, left: Edge, right: Edge) -> Edge:
-        """Pointwise sum of two matrix DDs."""
+        Addition is jointly homogeneous — ``wA·A + wB·B = wA·(A + r·B)``
+        with ``r = wB/wA`` — so the memo keys on ``(A, B, r)``: the sum
+        is computed with the left weight taken as 1 (left children pass
+        through unscaled, right children are scaled by ``r``), and the
+        memoised result is rescaled by ``wA``.  A key on the absolute
+        weights almost never hits on phase-rich states: every
+        accumulated scale is a new key, and the recursion enumerates
+        paths.  The relative interning guard every package sets makes
+        the unit-scale result valid at any scale.
+
+        The rescale is a plain product, not interned: every caller hands
+        the sum to a node constructor, which interns the weights it
+        keeps, so a memo hit costs no table lookup.  Operands are not
+        reordered, since ``A + r·B`` and ``B + A/r`` differ in the last
+        bit.  The memo empties at every
+        :meth:`~repro.perf.kernel.PythonEngine.load`, around every
+        matrix-vector product of :class:`~repro.dd.apply.GateApplier`
+        and at :meth:`compact`: the points where the SoA kernel's replay
+        (``KernelEngine._add``) drops its own, so both engines hit alike.
+        """
         if left.is_zero:
             return right
         if right.is_zero:
             return left
-        if is_terminal(left.node) and is_terminal(right.node):
+        lnode = left.node
+        rnode = right.node
+        if is_terminal(lnode) and is_terminal(rnode):
             return self.terminal_edge(left.weight + right.weight)
-        if is_terminal(left.node) or is_terminal(right.node):
-            raise DDError("cannot add matrix DDs of mismatched depth")
-        if left.node.var != right.node.var:
-            raise DDError("matrix addition at mismatched levels")
-        ka = (left.node.index, left.weight.real, left.weight.imag)
-        kb = (right.node.index, right.weight.real, right.weight.imag)
-        if kb < ka:
-            left, right, ka, kb = right, left, kb, ka
-        if self.complex_table.relative_tolerance <= 0.0:
-            # Absolute-window interning is not scale-invariant: computing
-            # the sum at a normalised scale and re-interning the scaled
-            # result can snap a small weight to a relatively-distant
-            # neighbour.  Keep the legacy absolute-weight memo key, which
-            # evaluates every sum at its true scale.
-            key = ("M",) + ka + kb
-            cached = self._add_table.lookup(key)
-            if cached is not None:
-                return cached
-            children = tuple(
-                self.matrix_add(
-                    self.scale(left.node.edges[i], left.weight),
-                    self.scale(right.node.edges[i], right.weight),
-                )
-                for i in range(4)
-            )
-            result = self.make_matrix_node(left.node.var, children)
-            return self._add_table.insert(key, result)
-        # Addition is jointly homogeneous — wA*A + wB*B = wA*(A + r*B)
-        # with r = wB/wA — so under relative-guarded interning (which IS
-        # scale-invariant) the memo key needs only the weight *ratio*.
-        # Keying on absolute weights looks equivalent but is catastrophic
-        # for Kraus sums: the recursion re-scales the operands at every
-        # level, every accumulated scale becomes a distinct key, and a
-        # 10-node product-state density DD explodes into a full 4^n-path
-        # enumeration with zero cache hits.
+        if is_terminal(lnode) or is_terminal(rnode) or lnode.var != rnode.var:
+            raise DDError("cannot add DDs of mismatched depth or level")
         ratio = right.weight / left.weight
-        key = ("M", left.node.index, right.node.index, ratio.real, ratio.imag)
-        cached = self._add_table.lookup(key)
-        if cached is not None:
-            return self.scale(cached, left.weight)
-        children = tuple(
-            self.matrix_add(
-                left.node.edges[i],
-                self.scale(right.node.edges[i], ratio),
+        key = (lnode.index, rnode.index, ratio)
+        result = self._add_table.lookup(key)
+        if result is None:
+            children = tuple(
+                self.add(lchild, self.scale(rchild, ratio))
+                for lchild, rchild in zip(lnode.edges, rnode.edges)
             )
-            for i in range(4)
-        )
-        result = self.make_matrix_node(left.node.var, children)
-        self._add_table.insert(key, result)
-        return self.scale(result, left.weight)
+            make = (
+                self.make_vector_node
+                if len(children) == 2
+                else self.make_matrix_node
+            )
+            result = self._add_table.insert(key, make(lnode.var, children))
+        weight = result.weight * left.weight
+        return Edge(result.node, weight) if weight != 0 else self.zero_edge
+
+    #: Matrix DDs add by the same rule (node indices are unique across
+    #: vector and matrix nodes, so they share one memo).
+    matrix_add = add
+
+    def clear_add_memo(self) -> None:
+        """Empty the add memo (the engines' shared memo lifetime)."""
+        self._add_table.clear()
 
     # ------------------------------------------------------------------
     # Multiplication

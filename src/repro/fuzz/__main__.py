@@ -7,12 +7,13 @@ Examples::
     python -m repro.fuzz --families clifford,nearzero
     python -m repro.fuzz --self-check                    # mutation test
 
-``--self-check`` deliberately injects four known bugs — a normalisation
+``--self-check`` deliberately injects five known bugs — a normalisation
 skew in the DD package, an over-pruning approximation that lies about
 its fidelity bound, a library front door that samples
-measure-and-continue circuits from their final unitary state again, and
-a channel superoperator built without its conjugate — and verifies the
-fuzzer catches all four (and minimizes the first to a handful of gates)
+measure-and-continue circuits from their final unitary state again, a
+channel superoperator built without its conjugate, and an add memo
+whose hits skip the rescale by the left weight — and verifies the
+fuzzer catches all five (and minimizes the first to a handful of gates)
 — proof the oracles have teeth (documented in ``docs/fuzzing.md``).
 Exit status is non-zero when failures are found (or, under
 ``--self-check``, when an injected bug is *not* found).
@@ -35,6 +36,7 @@ from ..circuit.operations import Measurement
 from ..dd import approximation as _dd_approximation
 from ..dd import package as _dd_package
 from ..noise.channels import KrausChannel
+from ..perf.kernel import KernelEngine
 from . import oracles as _oracles
 from .families import FAMILIES
 from .runner import FuzzConfig, FuzzReport, run_fuzz
@@ -183,6 +185,24 @@ def _unconjugated_superoperator(channel):
 _ORIGINAL_SUPEROPERATOR = KrausChannel.superoperator
 
 
+def _unscaled_memo_add(self, var, a, b):
+    """The planted memo bug: an add-memo hit returns the sum computed
+    with the left weight taken as 1, without rescaling it by that
+    weight.  The memo key is scale-invariant, so the hit is wrong
+    whenever the left weight is not 1; the ``dd-vs-statevector`` oracle
+    must notice the SoA kernel's states drifting from the dense ones.
+    """
+    (_ca, wa), (_cb, wb) = a, b
+    if var >= 0 and wa != 0 and wb != 0:
+        cached = self._add_cache.get((var, a[0], b[0], wb / wa))
+        if cached is not None:
+            return cached
+    return _ORIGINAL_KERNEL_ADD(self, var, a, b)
+
+
+_ORIGINAL_KERNEL_ADD = KernelEngine._add
+
+
 def _check_normalize_mutation(args: argparse.Namespace) -> int:
     """The fuzzer must catch the skew bug and minimize it tightly."""
     with tempfile.TemporaryDirectory() as scratch:
@@ -301,6 +321,35 @@ def _check_superoperator_mutation(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_memo_mutation(args: argparse.Namespace) -> int:
+    """The dd-vs-statevector oracle must catch an unrescaled memo hit."""
+    with tempfile.TemporaryDirectory() as scratch:
+        config = FuzzConfig(
+            families=("clifford",),
+            seed=args.seed,
+            max_circuits=4,
+            minimize=False,
+            corpus_dir=Path(scratch),
+        )
+        KernelEngine._add = _unscaled_memo_add
+        try:
+            report = run_fuzz(config)
+        finally:
+            KernelEngine._add = _ORIGINAL_KERNEL_ADD
+    caught = [f for f in report.failures if f.oracle == "dd-vs-statevector"]
+    if not caught:
+        print(
+            "self-check FAILED: planted add-memo bug went undetected "
+            "by the dd-vs-statevector oracle"
+        )
+        return 1
+    print(
+        "self-check passed: planted add-memo bug caught "
+        f"{len(caught)} time(s) by dd-vs-statevector"
+    )
+    return 0
+
+
 def _run_self_check(args: argparse.Namespace) -> int:
     """Mutation tests: each planted bug must be found by its oracle."""
     return (
@@ -308,6 +357,7 @@ def _run_self_check(args: argparse.Namespace) -> int:
         | _check_overpruning_mutation(args)
         | _check_route_mutation(args)
         | _check_superoperator_mutation(args)
+        | _check_memo_mutation(args)
     )
 
 

@@ -43,10 +43,12 @@ __all__ = [
 
 
 #: Stable-serialisation contract version.  Bump whenever the meaning of
-#: the flat arrays changes (levels encoding, probability convention, …);
-#: the service artifact store folds it into every cache key so stale
-#: on-disk artifacts are invalidated rather than misread.
-ARTIFACT_VERSION = 1
+#: the flat arrays changes (levels encoding, probability convention, …)
+#: or the builds that fill them do (2: the ratio-keyed add memo and the
+#: relative interning guard move weights in the last bits); the service
+#: artifact store folds it into every cache key so stale on-disk
+#: artifacts are invalidated rather than misread.
+ARTIFACT_VERSION = 2
 
 
 #: Dense expansion guard: ``probabilities()`` materialises 2^n floats.

@@ -477,7 +477,13 @@ class KernelEngine:
         a: Tuple[int, complex],
         b: Tuple[int, complex],
     ) -> Tuple[int, complex]:
-        """Replay of ``DDPackage.add`` (zero shortcuts, cache, recursion)."""
+        """Replay of ``DDPackage.add``: zero shortcuts, ratio memo, recursion.
+
+        The memo keys on ``(var, a's row, b's row, wb/wa)`` and holds the
+        sum with ``a``'s weight taken as 1; it lives from one
+        :meth:`load` or :meth:`compact` to the next, as the package's
+        memo does under the python engine.
+        """
         ca, wa = a
         cb, wb = b
         if wa == 0:
@@ -486,65 +492,40 @@ class KernelEngine:
             return a
         if var < 0:
             return self._terminal_add(wa, wb)
-        ka = (ca, wa.real, wa.imag)
-        kb = (cb, wb.real, wb.imag)
-        if kb < ka:
-            a, b, ka, kb = b, a, kb, ka
-            ca, wa = a
-            cb, wb = b
-        key = (var,) + ka + kb
-        cached = self._add_cache.get(key)
-        if cached is not None:
-            return cached
-        level = self.state.levels[var]
-        lc0 = level.c0
-        lw0 = level.w0
-        lc1 = level.c1
-        lw1 = level.w1
-        table = self._table
-        fixed_get = table.fixed.get
-        lookup = table.lookup
-        below = var - 1
-        # The four child scalings, inlined (see _scale_pair): raw == 0
-        # short-circuits to the zero edge, a canonical-zero snap keeps
-        # the raw weight.
-        raw = lw0[ca] * wa
-        if raw == 0:
-            sa0 = _ZERO
-        else:
-            product = fixed_get(raw)
-            if product is None:
-                product = lookup(raw)
-            sa0 = (lc0[ca], raw if product == 0 else product)
-        raw = lw0[cb] * wb
-        if raw == 0:
-            sb0 = _ZERO
-        else:
-            product = fixed_get(raw)
-            if product is None:
-                product = lookup(raw)
-            sb0 = (lc0[cb], raw if product == 0 else product)
-        e0 = self._add(below, sa0, sb0)
-        raw = lw1[ca] * wa
-        if raw == 0:
-            sa1 = _ZERO
-        else:
-            product = fixed_get(raw)
-            if product is None:
-                product = lookup(raw)
-            sa1 = (lc1[ca], raw if product == 0 else product)
-        raw = lw1[cb] * wb
-        if raw == 0:
-            sb1 = _ZERO
-        else:
-            product = fixed_get(raw)
-            if product is None:
-                product = lookup(raw)
-            sb1 = (lc1[cb], raw if product == 0 else product)
-        e1 = self._add(below, sa1, sb1)
-        result = self._make_node(var, e0, e1)
-        self._add_cache[key] = result
-        return result
+        ratio = wb / wa
+        key = (var, ca, cb, ratio)
+        result = self._add_cache.get(key)
+        if result is None:
+            level = self.state.levels[var]
+            table = self._table
+            fixed_get = table.fixed.get
+            lookup = table.lookup
+            below = var - 1
+            # a's children pass through; b's are scaled by the ratio,
+            # inlined (see _scale_pair): raw == 0 short-circuits to the
+            # zero edge, a canonical-zero snap keeps the raw weight.
+            raw = level.w0[cb] * ratio
+            if raw == 0:
+                sb = _ZERO
+            else:
+                product = fixed_get(raw)
+                if product is None:
+                    product = lookup(raw)
+                sb = (level.c0[cb], raw if product == 0 else product)
+            e0 = self._add(below, (level.c0[ca], level.w0[ca]), sb)
+            raw = level.w1[cb] * ratio
+            if raw == 0:
+                sb = _ZERO
+            else:
+                product = fixed_get(raw)
+                if product is None:
+                    product = lookup(raw)
+                sb = (level.c1[cb], raw if product == 0 else product)
+            e1 = self._add(below, (level.c1[ca], level.w1[ca]), sb)
+            result = self._make_node(var, e0, e1)
+            self._add_cache[key] = result
+        weight = result[1] * wa
+        return (result[0], weight) if weight != 0 else _ZERO
 
     # ------------------------------------------------------------------
     # Subspace phase (diagonal strategy)
@@ -779,8 +760,10 @@ class PythonEngine:
         self.edge = package.zero_edge
 
     def load(self, edge: Edge) -> None:
-        """Make ``edge`` the working state."""
+        """Make ``edge`` the working state, emptying the add memo as
+        :meth:`KernelEngine.load` empties its own."""
         self.edge = edge
+        self.package.clear_add_memo()
 
     def apply(self, op) -> None:
         """Apply one instruction through the reference applier."""

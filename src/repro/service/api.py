@@ -716,8 +716,17 @@ class SamplingService:
             except AdmissionError as error:
                 return self._reject(request, str(error), key=key)
             self._set_queue_gauge()
+            waited = time.perf_counter()
             try:
                 outcome = future.result(timeout=request.deadline_seconds)
+                # The build thread can hold the interpreter past the
+                # deadline and finish before this thread wakes: the
+                # request still waited too long, so the clock decides.
+                if (
+                    request.deadline_seconds is not None
+                    and time.perf_counter() - waited > request.deadline_seconds
+                ):
+                    raise TimeoutError
             except TimeoutError:
                 return SamplingResponse(
                     request_id=request.request_id,

@@ -446,10 +446,14 @@ class HttpFrontDoor:
         """Route one record on the router thread pool; await-able result.
 
         Raises :class:`ValueError` for a ``top`` that is not a
-        non-negative integer (the callers answer ``rejected``).
+        non-negative JSON integer or ``null`` (the callers answer
+        ``rejected``); a boolean, a float or a string is not coerced.
         """
         top = record.get("top", self.top)
-        top = None if top is None else int(top)
+        if top is not None and type(top) is not int:
+            raise ValueError(
+                f"request field 'top' must be a JSON integer or null, got {top!r}"
+            )
         loop = asyncio.get_running_loop()
         future = await loop.run_in_executor(
             self._router, self.pool.submit_record, record, top

@@ -69,34 +69,34 @@ KEY_CASES = {
 #: stores noisy artifacts under.
 GOLDEN = {
     "qft_4": {
-        "exact": "a0dc060e9351f205b93b705796ef1fcebf92d3f05cd6230bfa61a64095028080",
-        "raw": "edfdb3209dfa659ad81024674bc73fbbabe53186cd769c25fc327f3a63f6ddac",
-        "initial_state_3": "7abe4f522b9117a139b9ddce9492569d4e759ede0fbcdf18ed770a65e4c82f20",
-        "leftmost": "e8afba7e678de9537390ccf507a72f716ed2d29e254dc34e0318cad0914b181b",
-        "approx_0.05": "42011a966d09303f919b9d227d69ab8a45f659e590993433aab10b8c846714ed",
-        "approx_budget": "61386c0ffcdc99d971b5f0d0c2bc581cb46eaaa220553a642a68319928afc58e",
-        "approx_interval": "20b98aadfd602c6ca162f0197649ff0eb18d598403669aac93ef58eefe89ba8b",
-        "reorder_true": "7c881d264b4c54db1d87ec48f9f36fa0003270d55ed4be45e4e2ea0f969757e5",
-        "reorder_17": "b43eb9df35f3fd84bafafd820097d41a591f4e7b40a53529a1b4a685785e87a1",
-        "reorder_map": "12abb30518575dee85236df4965e676c27aab5c14bc45d6bd392f92ca1fc4584",
-        "noise_0.01": "1aef29dbd58bab42399ad6cbb23b31fdee9ed5cd84ada92b7bd83ef70eef5b83",
-        "noise_readout": "5b543c5e22700331d886ba8f69ddaf39e6cad1b1556dd1b0e3abf844cb4bffd7",
-        "noise_mixed": "467f65fafdc12edb6935ea4032501efd24ea838184967a1ae81e5eb24654ea56",
+        "exact": "3230114d2f98e42e02a759e4663aa1d1164f088c9f54213e7cda02de9bb51455",
+        "raw": "20dff3eed7df84d79e29e2171438bec2a38aa65ca5b7932cc8e9b21d8c8773c5",
+        "initial_state_3": "6283da54de4e216322caa0677fb6a63f299b525b463a94a3b66211b2eca49981",
+        "leftmost": "ef0b7932726e2aac5df3d0b40a7460f1534e42f2fe822b4a67384a8f9292f40c",
+        "approx_0.05": "76d5463a5faa03b40421c8001e014556a519b6bb8f86f66db2baccc800195ad7",
+        "approx_budget": "45ad932b48ff6c2d914109659be6fb0bcb5cff0d7560c178da99207c97b6d4e7",
+        "approx_interval": "c481131bcffcb12b695cead429b9a0d8b0a2ba2bfe5661d64484a2875d2726a2",
+        "reorder_true": "a5f5fd7c6c521463e76f4a3b081574e8756212810c2f60275dfd495f25d6187f",
+        "reorder_17": "a7e6ababb7b6683f2a240fbe8b42bc1dd54ed2ccfda42e2de70268d86dde5446",
+        "reorder_map": "6b5ef143fee29cc2f1fcf0e211dbc69e560cbf7164b3f73537636b774fc084a6",
+        "noise_0.01": "d7b5437d44c194473c996df67226aa2569250d5030785c91a633e986241fa791",
+        "noise_readout": "692f66c0fca8fce2d8e2e05e37837aafe6e78aea87f267c810de3eccc3bdc36e",
+        "noise_mixed": "06882f3ce204c548e4ce02522ea1d8baff0a22d0c6660e7f6f51ec8a7ea81efd",
     },
     "ghz_4": {
-        "exact": "d32be1f13a21686dfc34fc951d4eee72966fbf8bd4551a2bf6c13db392e92bd3",
-        "raw": "f4c4a2df7b51b82ca5e6398cf4d4031183eb4684765c57b5505de787d6e5366d",
-        "initial_state_3": "ad65193af9177ba6e81d252c1248a5e220a1346da8e9482ebd29cfd0b3dc10d1",
-        "leftmost": "9a2bf076c59cac77adb44c50018fcb685e952d8c64d452de45b909d0e67a0c9d",
-        "approx_0.05": "6acc58403ecbefb98e5a2d2b9d38f144da9e49f9dc5e9db565b1ebe48b9df1d3",
-        "approx_budget": "3424c881eb8ab2a0a3eb8898e5695e2740c8ca20fff22fc059e02620b1de332d",
-        "approx_interval": "fa25ee2448bdcb7671dccf8e310bd7396f0e16e6e8066a0f471a465c3eb19d9d",
-        "reorder_true": "636b09bc6e792989b9e7d3f77c5e3b0395caa9541f63aae1ee55636246972df1",
-        "reorder_17": "7eccb2d182627e1cda499369afb782c05632b41544eb0303d25e2281f412b530",
-        "reorder_map": "eebe87e86663302b44606c2a26d1f4d7fc1fa03abb28de3bbd0b846ee50efc88",
-        "noise_0.01": "f7bb4090b33cae0a1bdbf9153af0ad039a3096d6fb80749dcfe25a7060b4db24",
-        "noise_readout": "a5bb365a70b78f700afd30030374dcbda30e134d38780f78f36e56ff6d04a7fc",
-        "noise_mixed": "eab7b67403f6691c60d2deca0fca0467fe2340eb1579d432224ba78284ec4495",
+        "exact": "6eea0361d67a79d29f943ee275e05709a08fe1fbcd08a13deef52a1b1b606987",
+        "raw": "88618d0002e0dac6784bf919b3e024fdb96c14cd13f160121f56fbced5a65cc5",
+        "initial_state_3": "95fc443b5fc57eae418c98b3ecfabbb7f3258b6019570fafaf94df22c5e9007b",
+        "leftmost": "7115550985052b9114b7421fb41cd03d94337d76d6e38d1f91aeee2ab14ed96f",
+        "approx_0.05": "f5a79d8d93aa63ed99a93d4ed62d7a4e15ed86a43885342c15172078f3d098fd",
+        "approx_budget": "b7f200caa41c1ec61816dd1ea2a2d2e6cf836e3a28ba2fe0433c7d98a13f7477",
+        "approx_interval": "583906d9aadea8bc538f199023b2d6b66470bba1ec07841b825c1326a5428392",
+        "reorder_true": "1a51faf18e023b0e9bc2f3df7a9654255fd172943094a41c20ba980dd25d7bc9",
+        "reorder_17": "41644ba3ad2818f943e29d43570f35a21dae5ef4d1242e7958f8a06f3b2d5724",
+        "reorder_map": "d6ee95a4baee6249ae0e19434340e23ebd7c948cd522c87cd4cfc0edb9397e10",
+        "noise_0.01": "8cf4d2f0fcb7226952f15477c8f77f5d62592956fea4011e72389f4844e4db86",
+        "noise_readout": "89a870ddf0f20a7269ad4ac6f3b96b2343616391c98d4e5604160b2834f95153",
+        "noise_mixed": "8e2916896c9b512c3c531546ee8a04553414f06ce2d4bdfb38831220c36e0f67",
     },
 }
 
@@ -124,7 +124,7 @@ _PARSERS = {
 
 def test_reference_digest_is_unchanged():
     assert cache_key(qft(4), package_version="golden") == (
-        "a0dc060e9351f205b93b705796ef1fcebf92d3f05cd6230bfa61a64095028080"
+        "3230114d2f98e42e02a759e4663aa1d1164f088c9f54213e7cda02de9bb51455"
     )
 
 

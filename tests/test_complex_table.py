@@ -134,24 +134,27 @@ def test_clear_keeps_the_relative_guard():
     assert table.lookup(5e-11 + 5e-15 + 0j) != first
 
 
-def test_relative_guard_miss_evicts_from_the_exact_hit_index():
-    # A relative-guard miss can land in an occupied home bucket and
-    # overwrite its entry.  The evicted value must leave `fixed` too:
-    # a caller probing the index first would otherwise still get it
-    # back, while lookup no longer does.
+def test_relative_guard_miss_keeps_its_neighbour_canonical():
+    # A relative-guard miss can land in an occupied grid cell.  The cell
+    # keeps both entries: the old one stays canonical and indexed, so a
+    # caller probing `fixed` first and `lookup` agree on both.
     table = ComplexTable(tolerance=1e-10, relative_tolerance=1e-12)
     first = table.lookup(3e-10 + 0j)
     assert table.fixed[first] == first
     size = len(table)
-    second = table.lookup(3e-10 + 1e-12 + 0j)  # same bucket, guard refuses
+    second = table.lookup(3e-10 + 1e-12 + 0j)  # same cell, guard refuses
     assert second != first
-    assert len(table) == size  # overwritten, not added
-    assert first not in table.fixed
+    assert len(table) == size + 1  # added, not overwritten
+    assert table.fixed[first] == first
     assert table.fixed[second] == second
-    # Looked up again, the evicted value re-enters and evicts in turn.
+    # Looked up again, each value is its own entry: no new insert.
+    version = table.version
     assert table.lookup(first) == first
-    assert second not in table.fixed
-    # Whatever the index still holds, lookup agrees with.
+    assert table.lookup(second) == second
+    assert table.version == version and len(table) == size + 1
+    # A third crowded value joins the same cell.
+    third = table.lookup(3e-10 + 2e-12 + 0j)
+    assert len({first, second, third}) == 3
     for value, canonical in list(table.fixed.items()):
         assert table.lookup(value) == canonical
 

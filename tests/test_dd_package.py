@@ -145,6 +145,28 @@ class TestArithmetic:
         ba = package.to_statevector(package.add(eb, ea), 3)
         assert np.allclose(ab, ba, atol=1e-12)
 
+    def test_add_memo_is_scale_invariant(self):
+        # The memo keys on (left node, right node, wB/wA): scaling both
+        # operands by c (a power of two, so every product is exact) keeps
+        # the key, hits, and returns c·(A+B) on the same node.
+        package = DDPackage()
+        rng = np.random.default_rng(11)
+        a = package.from_statevector(random_statevector(3, rng) * 0.6)
+        b = package.from_statevector(random_statevector(3, rng) * 0.4)
+        total = package.add(a, b)
+        c = -0.5
+        hits = package._add_table.hits
+        scaled = package.add(package.scale(a, c), package.scale(b, c))
+        assert package._add_table.hits == hits + 1
+        assert scaled.node is total.node
+        assert scaled.weight == c * total.weight
+
+    def test_every_package_sets_the_relative_guard(self):
+        # The ratio-keyed add memo relies on scale-invariant interning.
+        assert DDPackage().complex_table.relative_tolerance > 0
+        with pytest.raises(ValueError):
+            DDPackage(relative_tolerance=0.0)
+
     def test_scale(self, package):
         rng = np.random.default_rng(9)
         vector = random_statevector(3, rng)

@@ -51,53 +51,53 @@ ANSWERS = {
     # -- each builtin family -------------------------------------------------
     "bell": (
         {"circuit": "bell", "shots": 1000, "seed": 1},
-        "3c9d44981f27b4d5e10a2d6de9d658ea909c9bcef58f66aad4c84ea3b0e7d788",
+        "4cb64231500a6d7cc5b8c9326c4f725403e022d1089d6f76b50034b04038e759",
     ),
     "qft_5": (
         {"circuit": "qft_5", "shots": 2000, "seed": 2},
-        "9b28503d59b5a37fd8cfc628c98bd237884bc304160389d4ccb57b092d1ba42e",
+        "4546ae463ec8ae326cb9bbb91622a065fcd224e79744120b8fedf89cdb516d1d",
     ),
     "grover_4": (
         {"circuit": "grover_4", "shots": 2000, "seed": 3},
-        "1e9fbf45192d5946a380b2eb2e422959460c8565e70963cf97f86071bf165444",
+        "bb54715d9f5b8bd30678d0c9a3352f5aeaf65bb82265decf5b9a88c585cec655",
     ),
     "ghz_6": (
         {"circuit": "ghz_6", "shots": 2000, "seed": 4},
-        "eac3ffd7c5a77522cecb258eb7abfaf68ef1432db023fbc0c3e700db231b1d4e",
+        "c8c9ac2953930fa262fdef520bed292efd6139dcd60e5363c9e22683c6cde21f",
     ),
     "w_5": (
         {"circuit": "w_5", "shots": 2000, "seed": 5},
-        "be6682e11de40eefd3cfcdc6fb2b26444d4094a4c3f38a7c4cb005d136284c91",
+        "98be0ddd2b1bec86a034322445fbf8338332dee6e64ef9b94ad51e09779d25ac",
     ),
     "supremacy_2x3_4": (
         {"circuit": "supremacy_2x3_4", "shots": 2000, "seed": 6},
-        "456dfe0342650906ca40e2b96765cca097e2b944e6637b2f4d4e6a104cb317d6",
+        "02b8fe61162900ada35e0a5afcca85dc83ddb0657bfa7ed9417583cb1f646e06",
     ),
     # -- top ----------------------------------------------------------------
     "top_none": (
         {"circuit": "supremacy_2x3_4", "shots": 500, "seed": 7, "top": None},
-        "863d6cfdf2921ec31eca736e0a96429777603fe42144a46d0a3b311d13cb68cd",
+        "acdb12e20b02a39371dc0f91be0c88641beec43e3c72e4c961eafeaeba1bba95",
     ),
     "top_0": (
         {"circuit": "supremacy_2x3_4", "shots": 500, "seed": 7, "top": 0},
-        "78742cd32f4935c1e13dd7a1f688dbd044ddb62112851a7c170c74f4e4033fc8",
+        "844ac40fca28e19c0f9484ae141bd89614034edeadbdc2788ecbc040b0b385bb",
     ),
     "top_3": (
         {"circuit": "supremacy_2x3_4", "shots": 500, "seed": 7, "top": 3},
-        "46e495897b2bbf03e8b7a3a6ed5637f4df69347305616104d46a5dc32f537fb8",
+        "55ea0f55399c56355d530a2a73260acabeb45b89b97cf394252a9316ff9906c3",
     ),
     "top_1e6": (
         {"circuit": "supremacy_2x3_4", "shots": 500, "seed": 7, "top": 10**6},
-        "863d6cfdf2921ec31eca736e0a96429777603fe42144a46d0a3b311d13cb68cd",
+        "acdb12e20b02a39371dc0f91be0c88641beec43e3c72e4c961eafeaeba1bba95",
     ),
     # -- build settings -----------------------------------------------------
     "optimize_false": (
         {"circuit": "qft_5", "shots": 2000, "seed": 2, "optimize": False},
-        "5d36fdb6179c0ede51634d4ee36aa032da83eddea93cc39d93fa86490827c32a",
+        "b9017e63aaeb349ddfe26efb9965ebbc5f25f46b01d85812d4dd68cf1545f704",
     ),
     "initial_state": (
         {"circuit": "qft_5", "shots": 2000, "seed": 2, "initial_state": 5},
-        "b8baf79bbfd0ad12a881da44e86c034190a123b66450a229faa4466876dd1a6e",
+        "846da9f22d87e426577e229f2fcbc69aaa17e5077399b0aaa3b2606c4b44b5a9",
     ),
     "approx_number": (
         {
@@ -106,7 +106,7 @@ ANSWERS = {
             "seed": 8,
             "approximation": 0.1,
         },
-        "0ce5ead4f3dfeccfc43ea963058d45169bc66e6f5c5dd51a10c6ad0deaf0607c",
+        "92b5590c4cfe4b9fdb404d5b6693776fcb2bc6434cf44f8fb43f7d3aa69807b8",
     ),
     "approx_mapping": (
         {
@@ -115,27 +115,27 @@ ANSWERS = {
             "seed": 8,
             "approximation": {"epsilon": 0.05, "node_budget": 8},
         },
-        "b27e5ce65fd15190ceb73fe02804e310e6eb04ad2851ebb8f679110d05e8f2a6",
+        "518fe1bffce0ef19e67dc2d24997fb4c0175b44b0df6f0cc99d71080aab92c43",
     ),
     "approx_zero": (
         {"circuit": "supremacy_2x3_4", "shots": 2000, "seed": 8, "approximation": 0},
-        "f03f3b0e55e75227070a3c007974e42eb82d6d0cee98cebd6cb8bb641b64e00d",
+        "fb1959bedd386944a86cd8f35562e622d3adc4bef0c7023e2c36e8eead756d0d",
     ),
     "reorder_true": (
         {"circuit": "supremacy_2x3_4", "shots": 2000, "seed": 9, "reorder": True},
-        "43ca233667c8c47ac4f731882ce977114e4e0c08d8f370b0826ddb1a536a3fa4",
+        "8cc6acb64fe10c6899f38f7d237c7de82a9e5cefb107fe8d93d93ae99e1cea01",
     ),
     "reorder_budget": (
         {"circuit": "supremacy_2x3_4", "shots": 2000, "seed": 9, "reorder": 4},
-        "45582b4b83ff63aa4d307bb1573ddd7143d34176fc4aa7ff4da10d86440e773b",
+        "54a73434ba81862e6410386256885868c9687c644a1b64ef864be528823f58d1",
     ),
     "reorder_false": (
         {"circuit": "supremacy_2x3_4", "shots": 2000, "seed": 9, "reorder": False},
-        "f7a0882b9dd337772949a3eafa0d13d2b61642a470e2be3c4b4fb6b5d96e7aad",
+        "faef6feeb087528b6064cd2aeba5a9bb0d9d74cd7435a2deca18acdc00b91162",
     ),
     "noise_number": (
         {"circuit": "ghz_4", "shots": 2000, "seed": 10, "noise_model": 0.02},
-        "cc5e3a08c37222edf898d6cb3e0b55e6684c07c40d992fa04ac4576d1c0aaa9f",
+        "7bd10b6afdb8fd716b48f3c5ce42f9008eae86778425f72dc428285ab1e3efcf",
     ),
     "noise_readout": (
         {
@@ -147,7 +147,7 @@ ANSWERS = {
                 "readout": {"p01": 0.02, "p10": 0.01},
             },
         },
-        "8de1caaddf239241c2bdf0d9ec4d9a87d15225e8525c2c1beed87b81b1afef73",
+        "025df6ccbcdfec96184c8170c91e160db9414fd6bdb6f5715a64bdb2633b3b16",
     ),
     "noise_zero": (
         {
@@ -156,15 +156,15 @@ ANSWERS = {
             "seed": 10,
             "noise_model": {"depolarizing": 0.0},
         },
-        "ed4230817757b74185f7324061b259d4443c4969d868c5ce3952db3915b198a6",
+        "93d1fd8a0e08f58481863afd6b7301d25cb8ad79eb2b3e251ba41e0156b4eea5",
     ),
     "workers_3": (
         {"circuit": "qft_5", "shots": 5000, "seed": 11, "workers": 3},
-        "2fc6fc7b8191cd7b6b435dd58e17b809ef7e084ba047568117c7516b25fe6360",
+        "a53eeedc49492c62aeb29baebe44a3e68da54edaa09443af9e1ae723ec3bdaf2",
     ),
     "kernel_python": (
         {"circuit": "qft_5", "shots": 2000, "seed": 2, "kernel": "python"},
-        "358b0ed35951d68ac391e4deaadb2a168e1f3391e825a6a4a8eb3b43ec379b42",
+        "9718c200cddb21039059271d1b31c9a04faf913222550178d246b99741c06b4c",
     ),
     # -- every method ---------------------------------------------------------
     "method_dd-path": (
@@ -214,7 +214,7 @@ ANSWERS = {
     ),
     "mid_circuit_noise": (
         {"circuit": _MID_2Q, "shots": 2000, "seed": 1, "noise_model": 0.02},
-        "f0b2cd9a9d7a69d66d1e4329ba68fb909f447b33b21de4f1cf3f71f598683c16",
+        "84d3ef060f02c1ae5118b4a706d5f6899c2eb08fb0584d4e66aba73f7b6df621",
     ),
     "mid_circuit_reject_approximation": (
         {"circuit": _MID, "shots": 10, "seed": 1, "approximation": 0.05},
@@ -240,7 +240,7 @@ ANSWERS = {
 DEGRADED_POLICY = ServicePolicy(max_build_nodes=4)
 DEGRADED = (
     {"circuit": "qft_5", "shots": 1000, "seed": 13},
-    "41cecc3b3eee6b93943ddf1ca014a67e640a2914a5dd2ead9738bf49361e9af7",
+    "74c7af4a2dcf88a7c71ea20b1bb8086c65db714a17b6e3b4690facac28d2e195",
 )
 
 

@@ -21,14 +21,15 @@ from repro.core.dd_sampler import DDSampler
 from repro.core.shot_executor import ShotExecutor
 from repro.dd import NormalizationScheme
 from repro.dd.apply import GateApplier
-from repro.dd.approximation import ApproximationConfig
+from repro.dd.approximation import ApproximationConfig, prune_low_contribution
 from repro.dd.complex_table import ComplexTable
 from repro.dd.node import is_terminal
 from repro.dd.package import DDPackage
 from repro.dd.reorder import ReorderConfig
+from repro.dd.vector_dd import VectorDD
 from repro.exceptions import DDError, SimulationError
 from repro.perf.bench import dusty_ghz
-from repro.perf.kernel import KernelEngine
+from repro.perf.kernel import KernelEngine, PythonEngine
 from repro.simulators import DDSimulator
 from repro.telemetry import Telemetry
 
@@ -181,6 +182,67 @@ class TestBitIdentity:
         }
         for name, array in compiled["python"].items():
             assert np.array_equal(compiled["auto"][name], array), name
+
+    def test_qft_on_a_basis_state_pins_the_add_memo(self, monkeypatch):
+        # The ratio-keyed memo hits across the QFT's phase ladder: a
+        # 10-qubit QFT on a basis state makes under a thousand kernel
+        # additions (13,434 with the absolute-weight key it replaced).
+        calls = []
+        replay = KernelEngine._add
+
+        def counting(engine, var, a, b):
+            calls.append(var)
+            return replay(engine, var, a, b)
+
+        monkeypatch.setattr(KernelEngine, "_add", counting)
+        DDSimulator().run(qft(10), initial_state=357)
+        assert 0 < len(calls) <= 1_000
+
+    def test_add_memos_match_across_prune_and_fallback(self):
+        # ry(a) then ry(-a) on qubit 1 restores the state, so the next
+        # ry(a) repeats the first one's additions: a memo hit.  A prune
+        # round and a cswap fallback (each an edge round trip and a
+        # load) sit between repeats; the python engine's memo must
+        # empty there as the kernel's does, so both memos hold as many
+        # entries after every step, and the states stay bit-identical.
+        circuit = QuantumCircuit(4)
+        circuit.h(0).h(1).h(2).ry(0.2, 3).cx(2, 3)
+        for _ in range(2):
+            circuit.ry(0.7, 1).ry(-0.7, 1).ry(0.7, 1).ry(-0.7, 1)
+        circuit.cswap(3, 0, 2)
+        circuit.ry(0.7, 1).ry(-0.7, 1).ry(0.7, 1)
+        ops = list(circuit.operations)
+        steps = ops[:9] + ["prune"] + ops[9:]
+        runs = {}
+        for engine_class in (KernelEngine, PythonEngine):
+            package = DDPackage()
+            engine = engine_class(package, 4, GateApplier(package, 4))
+            engine.load(package.basis_state(4, 0))
+            memo = engine._add_cache if engine_class is KernelEngine else (
+                package._add_table
+            )
+            sizes, hits = [], []
+            for step in steps:
+                if step == "prune":
+                    state = VectorDD(package, engine.to_edge(), 4)
+                    pruned = prune_low_contribution(state, 0.05, package=package)
+                    assert pruned.removed_edges > 0
+                    engine.load(pruned.state.edge)
+                else:
+                    engine.apply(step)
+                sizes.append(len(memo))
+                hits.append(package._add_table.hits)
+            runs[engine.name] = (sizes, engine.to_edge(), package, hits)
+        kernel_sizes, kernel_edge = runs["vector"][:2]
+        python_sizes, python_edge, package, hits = runs["python"]
+        assert kernel_sizes == python_sizes
+        # The repeats reuse entries before the prune round (steps 5-8),
+        # between it and the fallback (10-13) and after the fallback.
+        for first, last in ((5, 8), (10, 13), (15, 17)):
+            assert hits[last] > hits[first - 1]
+        assert _weights(VectorDD(package, kernel_edge, 4)) == _weights(
+            VectorDD(package, python_edge, 4)
+        )
 
     FEATURE_BUILDS = {
         "approximate": {"approximation": ApproximationConfig(0.05, interval=4)},

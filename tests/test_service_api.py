@@ -11,6 +11,7 @@ The headline guarantees under test:
   instead of crashing or OOMing, and transient errors are retried.
 """
 
+import sys
 import threading
 import time
 
@@ -249,6 +250,31 @@ def test_deadline_exceeded_then_served_from_cache(tmp_path, monkeypatch):
         stats = service.stats()
     assert retry.ok
     assert stats["builds"] == 1
+
+
+def test_a_wait_past_the_deadline_answers_deadline_exceeded(monkeypatch):
+    # A build thread that never yields the interpreter finishes before
+    # the waiting thread runs again, so the waiter finds the future done
+    # though it waited 50 times its deadline.
+    class GreedySimulator(DDSimulator):
+        def run(self, circuit, initial_state=0):
+            end = time.perf_counter() + 0.05
+            while time.perf_counter() < end:
+                pass
+            return super().run(circuit, initial_state=initial_state)
+
+    monkeypatch.setattr("repro.core.weak_sim.DDSimulator", GreedySimulator)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        with SamplingService() as service:
+            late = service.sample(
+                SamplingRequest(bell_pair(), 100, seed=2, deadline_seconds=0.001)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert late.status == "deadline_exceeded"
+    assert late.result is None
 
 
 def test_transient_failures_are_retried(tmp_path, monkeypatch):

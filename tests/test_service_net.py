@@ -197,6 +197,43 @@ def test_mistyped_scalars_answer_400_naming_the_field(tmp_path):
         assert f"'{field}'" in payload["error"]
 
 
+def test_mistyped_top_answers_400_on_sample_and_batch(tmp_path):
+    # The encoder cap used to be coerced with int(): 2.7 was served as 2,
+    # true as 1 and "3" as 3.  Only a JSON integer >= 0 or null passes.
+    mistyped = [2.7, True, False, "3", [1], {"n": 1}]
+    pool = _pool(tmp_path)
+
+    async def scenario(front):
+        host, port = front.host, front.port
+        answers = []
+        for value in mistyped:
+            record = {"circuit": "bell", "shots": 100, "seed": 1, "top": value}
+            answers.append(await post_json(host, port, "/v1/sample", record))
+        lines = [
+            json.dumps({"circuit": "bell", "shots": 100, "seed": 1, "top": value})
+            for value in mistyped + [None, 1]
+        ]
+        batch = await http_request(
+            host, port, "POST", "/v1/batch", body="\n".join(lines).encode()
+        )
+        return answers, batch
+
+    answers, (status, _headers, body) = _run(_with_server(pool, scenario))
+    for status_code, payload in answers:
+        assert status_code == 400
+        assert payload["status"] == "rejected"
+        assert "'top'" in payload["error"]
+    assert status == 200
+    records = [json.loads(line) for line in body.splitlines()]
+    assert len(records) == len(mistyped) + 2
+    for number, record in enumerate(records[: len(mistyped)], start=1):
+        assert record["status"] == "rejected"
+        assert record["error"].startswith(f"line {number}: request field 'top'")
+    assert [record["status"] for record in records[len(mistyped):]] == ["ok", "ok"]
+    assert "counts_truncated" in records[-1]
+    assert pool.exit_codes() == [0]
+
+
 _BELL_QASM = (
     "OPENQASM 2.0;\n"
     'include "qelib1.inc";\n'
